@@ -20,14 +20,6 @@ let recovered_exn = function
   | Ok (r : Core.Journal.recovered) -> r
   | Error e -> failwith (Core.Error.to_string e)
 
-let decode_with decode events =
-  List.filter_map
-    (function
-      | Core.Journal.Answered (s, reply) ->
-          Option.map (fun it -> (it, reply)) (decode s)
-      | _ -> None)
-    events
-
 (* ------------------------------------------------------------------ *)
 (* Raw journal: a 1k-answer session, recorded and replayed              *)
 (* ------------------------------------------------------------------ *)
@@ -83,20 +75,21 @@ type engine_times = {
 
 (* [run ?journal ?resume] must run one full session; the three timings use
    fresh deterministic rngs so the sessions are identical. *)
-let measure_engine name encode decode run =
+let measure_engine name encode decode decode_state run =
   with_temp (fun path ->
-      let live_outcome, live = time (fun () -> run None []) in
+      let live_outcome, live = time (fun () -> run None None) in
       let j =
         Core.Journal.create ~path
           { Core.Journal.seed = 1; engine = name; config = "bench" }
       in
       let journaled_outcome, journaled =
-        time (fun () -> run (Some (j, encode)) [])
+        time (fun () -> run (Some (j, encode)) None)
       in
       Core.Journal.close j;
       let r = recovered_exn (Core.Journal.recover ~path) in
-      let resume = decode_with decode r.events in
-      let resumed_outcome, resumed = time (fun () -> run None resume) in
+      let resumed_outcome, resumed =
+        time (fun () -> run None (Some (r.events, decode, decode_state)))
+      in
       ignore journaled_outcome;
       if resumed_outcome <> live_outcome then
         failwith (name ^ ": replayed session diverged from the live one");
@@ -115,10 +108,11 @@ let twig_engine () =
   let oracle it = Core.Flaky.Label (Twig.Eval.selects_example goal it) in
   measure_engine "learn-twig" Twiglearn.Interactive.encode_item
     (Twiglearn.Interactive.decode_item ~doc)
+    (Twiglearn.Interactive.decode_state ~doc)
     (fun journal resume ->
       let o =
         Twiglearn.Interactive.Loop.run_flaky ~rng:(Core.Prng.create 1)
-          ?journal ~resume ~oracle ~items ()
+          ?journal ?resume ~oracle ~items ()
       in
       o.questions + o.replayed)
 
@@ -140,10 +134,11 @@ let join_engine () =
   measure_engine "learn-join"
     (Joinlearn.Interactive.encode_item ~left:inst.left ~right:inst.right)
     (Joinlearn.Interactive.decode_item ~left:inst.left ~right:inst.right)
+    (Joinlearn.Interactive.decode_state ~left:inst.left ~right:inst.right)
     (fun journal resume ->
       let o =
         Joinlearn.Interactive.Loop.run_flaky ~rng:(Core.Prng.create 1)
-          ~strategy:Joinlearn.Interactive.lattice_strategy ?journal ~resume
+          ~strategy:Joinlearn.Interactive.lattice_strategy ?journal ?resume
           ~oracle ~items ()
       in
       o.questions + o.replayed)
@@ -157,11 +152,11 @@ let path_engine () =
     Core.Flaky.Label (Automata.Dfa.accepts goal it.word)
   in
   measure_engine "learn-path" Pathlearn.Interactive.encode_item
-    Pathlearn.Interactive.decode_item
+    Pathlearn.Interactive.decode_item Pathlearn.Interactive.decode_state
     (fun journal resume ->
       let o =
         Pathlearn.Interactive.Loop.run_flaky ~rng:(Core.Prng.create 1)
-          ?journal ~resume ~oracle ~items ()
+          ?journal ?resume ~oracle ~items ()
       in
       o.questions + o.replayed)
 

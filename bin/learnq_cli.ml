@@ -261,8 +261,19 @@ let timeout_rate_arg =
    would produce. *)
 let exit_crashed = 137
 
-let crash_wrap k oracle =
-  match k with
+(* The simulated user: [base] answers, through the fault injector when a
+   fault rate is set (drawing from [rng]), and the process dies on the
+   answer after [crash_after]. *)
+let simulated_user ~noise ~refusal ~timeout_rate ~crash_after ~rng base =
+  let oracle =
+    if noise = 0.0 && refusal = 0.0 && timeout_rate = 0.0 then fun it ->
+      Core.Flaky.Label (base it)
+    else
+      Core.Flaky.wrap
+        ~profile:(Core.Flaky.profile ~noise ~refusal ~timeout:timeout_rate ())
+        ~rng base
+  in
+  match crash_after with
   | None -> oracle
   | Some k ->
       let n = ref 0 in
@@ -275,10 +286,6 @@ let crash_wrap k oracle =
         end;
         incr n;
         oracle it
-
-let flaky_profile ~noise ~refusal ~timeout_rate =
-  if noise = 0.0 && refusal = 0.0 && timeout_rate = 0.0 then None
-  else Some (Core.Flaky.profile ~noise ~refusal ~timeout:timeout_rate ())
 
 (* Simulated oracles answer in microseconds; keep the backoff short so a
    flaky run doesn't spend its wall-clock sleeping. *)
@@ -340,56 +347,20 @@ let start_journal ~path ~resuming ~engine ~config ~seed ~sync =
         raw_events = [];
       }
 
-(* Decode the Answered prefix of a recovered journal with an engine codec;
-   an undecodable item means the journal belongs to other data. *)
-let decode_replies decode events =
-  List.filter_map
-    (function
-      | Core.Journal.Answered (s, reply) -> (
-          match decode s with
-          | Some it -> Some (it, reply)
-          | None ->
-              or_die
-                (Error
-                   (Core.Error.invalid_input ~what:"--resume"
-                      (Printf.sprintf
-                         "journal item %S does not decode; the journal was \
-                          recorded over different data"
-                         s))))
-      | _ -> None)
-    events
-
-(* Split the recovered events at the last checkpoint (written under
-   --checkpoint-every) and decode its state snapshot with the engine codec:
-   resume restores the snapshot and replays only the tail. *)
-let split_restore decode_state events =
-  let rec split ck tail = function
-    | [] -> (ck, List.rev tail)
-    | Core.Journal.Checkpoint c :: rest -> split (Some c) [] rest
-    | ev :: rest -> split ck (ev :: tail) rest
-  in
-  let ck, tail = split None [] events in
-  match ck with
-  | None -> (None, tail)
-  | Some c -> (
-      match decode_state c.Core.Journal.ck_state with
-      | Ok st ->
-          ( Some (st, c.Core.Journal.ck_answered, c.Core.Journal.ck_questions),
-            tail )
-      | Error msg ->
-          or_die
-            (Error
-               (Core.Error.invalid_input ~what:"--resume"
-                  ("undecodable journal checkpoint: " ^ msg))))
-
-(* Checkpoint compaction (and journal close) can hit the disk mid-session;
-   the typed storage error exits with EX_IOERR, leaving the journal intact
-   and resumable. *)
-let run_journaled f =
-  try f ()
-  with Core.Journal.Io err ->
+(* Runs a session over the journal (if any), with [encode] as its item
+   codec, and closes the journal after it.  Checkpoint compaction (and
+   journal close) can hit the disk mid-session; the typed storage error
+   exits with EX_IOERR, leaving the journal intact and resumable.  A
+   journal that does not replay over this data (an undecodable item or
+   checkpoint) is bad input. *)
+let run_journaled js encode session =
+  try
+    let outcome = session (Option.map (fun log -> (log, encode)) js.log) in
+    Option.iter Core.Journal.close js.log;
+    outcome
+  with Core.Journal.Io err | Core.Interact.Replay_failed err ->
     Printf.eprintf "learnq: %s\n" (Core.Error.to_string err);
-    exit Core.Error.exit_io
+    exit (Core.Error.exit_code err)
 
 let report_session ?note ~questions ~replayed ~pruned ~refused ~retried () =
   Printf.printf "questions: %d, replayed: %d, pruned: %d, refused: %d%s\n"
@@ -703,33 +674,20 @@ let learn_twig_cmd =
     let rng = Core.Prng.create js.seed in
     let items = Twiglearn.Interactive.items_of_doc doc in
     let base_oracle it = Twig.Eval.selects_example goal_q it in
-    let profile = flaky_profile ~noise ~refusal ~timeout_rate in
     let oracle =
-      match profile with
-      | None -> fun it -> Core.Flaky.Label (base_oracle it)
-      | Some profile -> Core.Flaky.wrap ~profile ~rng base_oracle
-    in
-    let oracle = crash_wrap crash_after oracle in
-    let restore, tail =
-      split_restore (Twiglearn.Interactive.decode_state ~doc) js.raw_events
-    in
-    let resume_events =
-      decode_replies (Twiglearn.Interactive.decode_item ~doc) tail
-    in
-    let jpair =
-      Option.map (fun log -> (log, Twiglearn.Interactive.encode_item)) js.log
+      simulated_user ~noise ~refusal ~timeout_rate ~crash_after ~rng
+        base_oracle
     in
     let outcome =
-      run_journaled (fun () ->
-          let outcome =
-            Twiglearn.Interactive.Loop.run_flaky ~rng ~budget ?journal:jpair
-              ~resume:resume_events ?restore ~checkpoint_every
-              ~snapshot:Twiglearn.Interactive.encode_state
-              ~retry:(retry_policy ~retries ~breaker)
-              ~oracle ~items ()
-          in
-          Option.iter Core.Journal.close js.log;
-          outcome)
+      run_journaled js Twiglearn.Interactive.encode_item (fun journal ->
+          Twiglearn.Interactive.Loop.run_flaky ~rng ~budget ?journal
+            ~resume:
+              ( js.raw_events,
+                Twiglearn.Interactive.decode_item ~doc,
+                Twiglearn.Interactive.decode_state ~doc )
+            ~checkpoint_every ~snapshot:Twiglearn.Interactive.encode_state
+            ~retry:(retry_policy ~retries ~breaker)
+            ~oracle ~items ())
     in
     report_session ~questions:outcome.questions ~replayed:outcome.replayed
       ~pruned:outcome.pruned ~refused:outcome.refused ~retried:outcome.retried
@@ -976,51 +934,29 @@ let learn_join_cmd =
     let base_oracle (it : Joinlearn.Interactive.item) =
       Joinlearn.Signature.subset goal_mask it.mask
     in
-    let profile = flaky_profile ~noise ~refusal ~timeout_rate in
     let oracle =
-      match profile with
-      | None -> fun it -> Core.Flaky.Label (base_oracle it)
-      | Some profile -> Core.Flaky.wrap ~profile ~rng base_oracle
+      simulated_user ~noise ~refusal ~timeout_rate ~crash_after ~rng
+        base_oracle
     in
-    let oracle = crash_wrap crash_after oracle in
-    let restore, tail =
-      split_restore
-        (Joinlearn.Interactive.decode_state ~left:inst.left ~right:inst.right)
-        js.raw_events
-    in
-    let resume_events =
-      decode_replies
-        (Joinlearn.Interactive.decode_item ~left:inst.left ~right:inst.right)
-        tail
-    in
-    let jpair =
-      Option.map
-        (fun log ->
-          ( log,
-            Joinlearn.Interactive.encode_item ~left:inst.left ~right:inst.right
-          ))
-        js.log
-    in
+    let left = inst.left and right = inst.right in
     let outcome =
-      run_journaled (fun () ->
-          let outcome =
-            Joinlearn.Interactive.Loop.run_flaky ~rng ~strategy ~budget
-              ?journal:jpair ~resume:resume_events ?restore ~checkpoint_every
-              ~snapshot:Joinlearn.Interactive.encode_state
-              ~retry:(retry_policy ~retries ~breaker)
-              ~oracle ~items ()
-          in
-          Option.iter Core.Journal.close js.log;
-          outcome)
+      run_journaled js (Joinlearn.Interactive.encode_item ~left ~right)
+        (fun journal ->
+          Joinlearn.Interactive.Loop.run_flaky ~rng ~strategy ~budget ?journal
+            ~resume:
+              ( js.raw_events,
+                Joinlearn.Interactive.decode_item ~left ~right,
+                Joinlearn.Interactive.decode_state ~left ~right )
+            ~checkpoint_every ~snapshot:Joinlearn.Interactive.encode_state
+            ~retry:(retry_policy ~retries ~breaker)
+            ~oracle ~items ())
     in
     (match outcome.query with
     | Some learned ->
         Format.printf "learned:     %a@." (Joinlearn.Signature.pp space) learned
     | None -> print_endline "no consistent predicate");
     report_session
-      ~note:
-        (Printf.sprintf "pool: %d"
-           (outcome.questions + outcome.replayed + outcome.pruned))
+      ~note:(Printf.sprintf "pool: %d" (List.length items))
       ~questions:outcome.questions ~replayed:outcome.replayed
       ~pruned:outcome.pruned ~refused:outcome.refused ~retried:outcome.retried
       ();
@@ -1098,31 +1034,20 @@ let learn_path_cmd =
     let base_oracle (it : Pathlearn.Interactive.item) =
       Automata.Dfa.accepts goal_dfa it.word
     in
-    let profile = flaky_profile ~noise ~refusal ~timeout_rate in
     let oracle =
-      match profile with
-      | None -> fun it -> Core.Flaky.Label (base_oracle it)
-      | Some profile -> Core.Flaky.wrap ~profile ~rng base_oracle
-    in
-    let oracle = crash_wrap crash_after oracle in
-    let restore, tail =
-      split_restore Pathlearn.Interactive.decode_state js.raw_events
-    in
-    let resume_events = decode_replies Pathlearn.Interactive.decode_item tail in
-    let jpair =
-      Option.map (fun log -> (log, Pathlearn.Interactive.encode_item)) js.log
+      simulated_user ~noise ~refusal ~timeout_rate ~crash_after ~rng
+        base_oracle
     in
     let outcome =
-      run_journaled (fun () ->
-          let outcome =
-            Pathlearn.Interactive.Loop.run_flaky ~rng ~budget ?journal:jpair
-              ~resume:resume_events ?restore ~checkpoint_every
-              ~snapshot:Pathlearn.Interactive.encode_state
-              ~retry:(retry_policy ~retries ~breaker)
-              ~oracle ~items ()
-          in
-          Option.iter Core.Journal.close js.log;
-          outcome)
+      run_journaled js Pathlearn.Interactive.encode_item (fun journal ->
+          Pathlearn.Interactive.Loop.run_flaky ~rng ~budget ?journal
+            ~resume:
+              ( js.raw_events,
+                Pathlearn.Interactive.decode_item,
+                Pathlearn.Interactive.decode_state )
+            ~checkpoint_every ~snapshot:Pathlearn.Interactive.encode_state
+            ~retry:(retry_policy ~retries ~breaker)
+            ~oracle ~items ())
     in
     report_session ~questions:outcome.questions ~replayed:outcome.replayed
       ~pruned:outcome.pruned ~refused:outcome.refused ~retried:outcome.retried

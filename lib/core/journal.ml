@@ -680,13 +680,13 @@ let answered r =
 (* The last checkpoint (if any) and the events that follow it: what a
    resuming session restores and then replays.  Events before the last
    checkpoint are superseded by it. *)
-let split_checkpoint r =
+let split_checkpoint events =
   let rec go ck tail = function
     | [] -> (ck, List.rev tail)
     | Checkpoint c :: rest -> go (Some c) [] rest
     | ev :: rest -> go ck (ev :: tail) rest
   in
-  go None [] r.events
+  go None [] events
 
 (* ------------------------------------------------------------------ *)
 (* Compaction                                                          *)

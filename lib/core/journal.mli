@@ -184,13 +184,13 @@ val resume :
     resume) or when a live process holds the lock ([Journal_locked]). *)
 
 val answered : recovered -> (string * Flaky.reply) list
-(** The [Answered] events of the surviving prefix, in order — what a learner
-    replays to rebuild its state. *)
+(** The [Answered] events of the surviving prefix, in order. *)
 
-val split_checkpoint : recovered -> checkpoint option * event list
-(** The last checkpoint (if any) and the events after it: restore the
-    snapshot, replay only the tail.  With no checkpoint the full event list
-    comes back — version-1 journals resume exactly as before. *)
+val split_checkpoint : event list -> checkpoint option * event list
+(** The last checkpoint (if any) among recovered events, and the events
+    after it: restore the snapshot, replay only the tail.  With no
+    checkpoint the full event list comes back — version-1 journals resume
+    exactly as before. *)
 
 val crc32 : string -> int
 (** The checksum used by the record format (exposed for tests). *)

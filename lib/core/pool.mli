@@ -2,10 +2,14 @@
 
     The interactive learners spend most of their time in embarrassingly
     parallel per-item work: the determined-scan over the open pool
-    ({!Interact.Make}) and version-space mask tests.  This pool keeps
-    [size - 1] worker domains alive across calls (domain spawn costs tens of
-    microseconds, far too much to pay once per question) and splits each
-    {!map_array} into index chunks claimed from a shared counter.
+    ({!Interact.Make.advance}) and version-space mask tests.  This pool
+    keeps [size - 1] worker domains alive across calls (domain spawn costs
+    tens of microseconds, far too much to pay once per question) and splits
+    each {!map_array} into index chunks claimed from a shared counter.
+
+    The CLI's batch loop passes {!default} to that scan (two lanes
+    halve a learn-twig session on an XMark scale-3 document); the server,
+    which already runs whole sessions on pool lanes, scans without one.
 
     {2 Determinism}
 
@@ -61,8 +65,8 @@ val shutdown : t -> unit
 
 (** {1 The process-default pool}
 
-    One shared pool for code (like {!Interact.Make}) that should not thread
-    a pool parameter through every caller.  Starts sequential. *)
+    One shared pool for code (like {!Interact.Make.run_flaky}) that should
+    not thread a pool parameter through every caller.  Starts sequential. *)
 
 val set_default_size : int -> unit
 (** Resize the default pool (clamped to [>= 1]).  Tears down the old

@@ -453,19 +453,17 @@ let check_journal_resume (doc, goal, permille) =
                 (String.length bytes) (Core.Error.to_string e)
           | Error _ -> Ok () (* header itself truncated: nothing to resume *)
           | Ok (j2, recovered) ->
-              let replies =
-                List.filter_map
-                  (fun (s, r) ->
-                    Option.map (fun it -> (it, r)) (TI.decode_item ~doc s))
-                  (Core.Journal.answered recovered)
-              in
               let resumed =
                 Fun.protect
                   ~finally:(fun () -> Core.Journal.close j2)
                   (fun () ->
                     TI.Loop.run ~rng:(Prng.create 17)
-                      ~journal:(j2, TI.encode_item) ~resume:replies ~oracle
-                      ~items ())
+                      ~journal:(j2, TI.encode_item)
+                      ~resume:
+                        ( recovered.events,
+                          TI.decode_item ~doc,
+                          TI.decode_state ~doc )
+                      ~oracle ~items ())
               in
               let* () =
                 transcripts_differ "full vs resumed" (transcript full)
@@ -1082,27 +1080,23 @@ let serve_registry ?(vfs = Core.Vfs.real) ?(checkpoint_every = 0)
     }
 
 (* Answer questions until the session finishes or [stop_after] answers
-   have been delivered; returns the answers delivered and the final
-   query. *)
-let serve_drive stepper client ~stop_after =
-  let rec go n =
+   have been delivered; returns the questions answered (codec keys, in
+   order) and the final query. *)
+let serve_drive ?(stop_after = max_int) stepper client =
+  let rec go n keys =
     let v = stepper.Server.Stepper.view () in
-    if v.Server.Stepper.done_ then Ok (n, v.Server.Stepper.query)
-    else if n >= stop_after then Ok (n, v.Server.Stepper.query)
-    else
-      match v.Server.Stepper.question with
-      | None -> Ok (n, v.Server.Stepper.query)
-      | Some key -> (
-          match
-            stepper.Server.Stepper.answer ~qid:v.Server.Stepper.qid
-              (client key)
-          with
-          | Ok _ -> go (n + 1)
-          | Error e ->
-              failf "stepper rejected answer %d for %s: %s" v.Server.Stepper.qid
-                key (Core.Error.to_string e))
+    match v.Server.Stepper.question with
+    | Some key when (not v.Server.Stepper.done_) && n < stop_after -> (
+        match
+          stepper.Server.Stepper.answer ~qid:v.Server.Stepper.qid (client key)
+        with
+        | Ok _ -> go (n + 1) (key :: keys)
+        | Error e ->
+            failf "stepper rejected answer %d for %s: %s" v.Server.Stepper.qid
+              key (Core.Error.to_string e))
+    | _ -> Ok (List.rev keys, v.Server.Stepper.query)
   in
-  go 0
+  go 0 []
 
 let check_server_crash_resume ?(checkpoint_every = 0) c =
   match Server.Engines.oracle c.sc_spec ~goal:c.sc_goal with
@@ -1124,7 +1118,7 @@ let check_server_crash_resume ?(checkpoint_every = 0) c =
                 | Ok _ -> (
                     match Server.Registry.find reg ~tenant:"fuzz" ~id:"s" with
                     | None -> failf "session vanished after create"
-                    | Some st -> serve_drive st client ~stop_after:max_int)))
+                    | Some st -> serve_drive st client)))
       in
       match reference with
       | Error _ as e -> e
@@ -1142,7 +1136,7 @@ let check_server_crash_resume ?(checkpoint_every = 0) c =
                     match Server.Registry.find reg1 ~tenant:"fuzz" ~id:"s" with
                     | None -> failf "session vanished after create"
                     | Some st ->
-                        serve_drive st client ~stop_after:c.sc_crash_after)
+                        serve_drive ~stop_after:c.sc_crash_after st client)
               in
               match phase1 with
               | Error _ as e -> e
@@ -1173,9 +1167,7 @@ let check_server_crash_resume ?(checkpoint_every = 0) c =
                             with
                             | None -> failf "recovered session not findable"
                             | Some st -> (
-                                match
-                                  serve_drive st client ~stop_after:max_int
-                                with
+                                match serve_drive st client with
                                 | Error _ as e -> e
                                 | Ok (_, resumed_query) ->
                                     if resumed_query = ref_query then Ok ()
@@ -1493,33 +1485,6 @@ let vfs_torn_write =
    Stepper journal entries carry no timestamps, so any divergence means
    an observer leaked into the learning or persistence path. *)
 
-let tt_drive stepper client =
-  let keys = ref [] in
-  let rec go () =
-    let v = stepper.Server.Stepper.view () in
-    if v.Server.Stepper.done_ then Ok (List.rev !keys, v.Server.Stepper.query)
-    else
-      match v.Server.Stepper.question with
-      | None -> Ok (List.rev !keys, v.Server.Stepper.query)
-      | Some key -> (
-          keys := key :: !keys;
-          match
-            stepper.Server.Stepper.answer ~qid:v.Server.Stepper.qid
-              (client key)
-          with
-          | Ok _ -> go ()
-          | Error e ->
-              failf "stepper rejected answer %d for %s: %s"
-                v.Server.Stepper.qid key (Core.Error.to_string e))
-  in
-  go ()
-
-let read_file_bytes path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* One full session in a fresh state directory; returns
    (question transcript, final query, raw journal bytes). *)
 let tt_run c client ~observe =
@@ -1533,7 +1498,7 @@ let tt_run c client ~observe =
         | Ok _ -> (
             match Server.Registry.find reg ~tenant:"fuzz" ~id:"s" with
             | None -> failf "session vanished after create"
-            | Some st -> tt_drive st client)
+            | Some st -> serve_drive st client)
       in
       let driven =
         Fun.protect
@@ -1546,7 +1511,7 @@ let tt_run c client ~observe =
       match driven with
       | Error _ as e -> e
       | Ok (keys, query) ->
-          let bytes = read_file_bytes (Filename.concat dir "fuzz.s.journal") in
+          let bytes = read_file (Filename.concat dir "fuzz.s.journal") in
           Ok (keys, query, bytes))
 
 let check_telemetry_transparency c =

@@ -1,6 +1,5 @@
 module Journal = Core.Journal
 module Budget = Core.Budget
-module Flaky = Core.Flaky
 module Error = Core.Error
 
 type view = {
@@ -40,371 +39,102 @@ type t = {
 }
 
 module Make (S : Core.Interact.SESSION) = struct
-  type internal = {
-    engine : string;
-    encode : S.item -> string;
-    journal : Journal.t option;
-    step_budget : unit -> Budget.t;
-    snapshot : (S.state -> string) option;
-    checkpoint_every : int;  (** 0 = never automatically *)
-    answered : (string, unit) Hashtbl.t;  (** labeled item keys *)
-    mutable answered_rev : string list;  (** same keys, newest first *)
-    mutable since_ck : int;  (** labels since the last checkpoint *)
-    mutable st : S.state;
-    mutable pool : S.item list;  (** unasked items, original order *)
-    mutable current : (int * S.item) option;
-    mutable qid : int;  (** count of Asked records ever (incl. replayed) *)
-    mutable questions : int;
-    mutable replayed : int;
-    mutable pruned : int;
-    mutable refused : int;
-    mutable done_ : bool;
-    mutable degraded : bool;
-  }
+  module Session = Core.Interact.Make (S)
 
-  let jappend i ev =
-    match i.journal with None -> () | Some j -> Journal.append j ev
-
-  (* Counter-only snapshot for the introspection endpoints: no journal
-     touch, no self-heal advance, no candidate rendering — safe to call
-     from the accept loop while the dispatcher owns the session, at the
-     price of weak consistency (plain reads of mutable scalars). *)
-  let peek i =
-    {
-      p_engine = i.engine;
-      p_done = i.done_;
-      p_degraded = i.degraded;
-      p_qid = i.qid;
-      p_open = i.current <> None;
-      p_questions = i.questions;
-      p_replayed = i.replayed;
-      p_pruned = i.pruned;
-      p_refused = i.refused;
-    }
-
-  let view i =
-    {
-      engine = i.engine;
-      done_ = i.done_;
-      degraded = i.degraded;
-      qid = i.qid;
-      question = Option.map (fun (_, it) -> i.encode it) i.current;
-      question_text =
-        Option.map (fun (_, it) -> Format.asprintf "%a" S.pp_item it) i.current;
-      questions = i.questions;
-      replayed = i.replayed;
-      pruned = i.pruned;
-      refused = i.refused;
-      query =
-        Option.map (Format.asprintf "%a" S.pp_query) (S.candidate i.st);
-    }
-
-  (* Advance to the next open question: prune determined items, pick the
-     first informative one (pool order — deterministic, so a crash/resume
-     re-derives the same question sequence), journal the ask.  Mirrors the
-     [Interact.Make] loop body exactly. *)
-  let advance i =
-    if not (i.done_ || i.current <> None) then begin
-      let b = i.step_budget () in
-      match
-        List.partition
-          (fun it ->
-            Budget.tick b;
-            S.determined i.st it = None)
-          i.pool
-      with
-      | exception Budget.Out_of_budget ->
-          (* Terminal degradation: keep the candidate so far; no
-             [Completed] record, so the journal stays resumable under a
-             bigger budget. *)
-          i.done_ <- true;
-          i.degraded <- true
-      | opens, determined ->
-          i.pruned <- i.pruned + List.length determined;
-          i.pool <- opens;
-          (match opens with
-          | [] ->
-              jappend i Journal.Completed;
-              (match i.journal with None -> () | Some j -> Journal.flush j);
-              i.done_ <- true
-          | item :: _ ->
-              (* The ask is journaled before it is exposed; when storage
-                 refuses the record the question rolls back whole (item
-                 still pooled, qid unbumped), so a later advance re-derives
-                 the same question instead of wedging the session. *)
-              i.qid <- i.qid + 1;
-              (try jappend i (Journal.Asked (i.encode item))
-               with e ->
-                 i.qid <- i.qid - 1;
-                 raise e);
-              i.pool <- List.filter (fun it -> it != item) opens;
-              i.current <- Some (i.qid, item);
-              Core.Obs.Recorder.record
-                ~detail:(Printf.sprintf "%s qid=%d" i.engine i.qid)
-                "session.asked")
-    end
-
-  (* Snapshot the accumulator and atomically compact the journal down to
-     header + checkpoint.  Callable at any point — including with a question
-     in flight: the open [Asked] would be erased by compaction, so it is
-     excluded from [ck_qid] and re-appended afterwards, keeping the resumed
-     qid sequence identical to the uninterrupted one.  (Should that
-     re-append fail, resume still re-derives the same question
-     deterministically from the pool — it just re-journals the ask.)  On
-     failure the old journal and the live session are untouched. *)
-  let take_checkpoint i =
-    match (i.journal, i.snapshot) with
-    | Some j, Some snap -> (
-        let open_key = Option.map (fun (_, it) -> i.encode it) i.current in
-        let ck =
-          {
-            Journal.ck_qid = (i.qid - if open_key = None then 0 else 1);
-            ck_questions = i.questions + i.replayed;
-            ck_pruned = i.pruned;
-            ck_refused = i.refused;
-            ck_answered = List.rev i.answered_rev;
-            ck_state = snap i.st;
-          }
-        in
-        match Journal.compact j ck with
-        | Error _ as e -> e
-        | Ok () -> (
-            i.since_ck <- 0;
-            match open_key with
-            | None -> Ok ()
-            | Some key -> (
-                try
-                  Journal.append j (Journal.Asked key);
-                  Ok ()
-                with Journal.Io e -> Error e)))
-    | _ -> Ok () (* no journal or no state codec: nothing to compact *)
-
-  let answer i ~qid reply =
-    match i.current with
-    | Some (cq, item) when qid = cq -> (
-        try
-          jappend i (Journal.Answered (i.encode item, reply));
-          Core.Obs.Recorder.record
-            ~detail:(Printf.sprintf "%s qid=%d" i.engine qid)
-            "session.answered";
-          (match reply with
-          | Flaky.Label label ->
-              i.st <- S.record i.st item label;
-              i.questions <- i.questions + 1;
-              let key = i.encode item in
-              if not (Hashtbl.mem i.answered key) then begin
-                Hashtbl.replace i.answered key ();
-                i.answered_rev <- key :: i.answered_rev
-              end;
-              i.since_ck <- i.since_ck + 1
-          | Flaky.Refused | Flaky.Timed_out ->
-              (* Set aside for this run; a resume puts it back in the pool,
-                 exactly as [Interact.run_flaky] replay does. *)
-              i.refused <- i.refused + 1);
-          i.current <- None;
-          (* Periodic compaction rides on the answer that crossed the
-             threshold; its storage error (ENOSPC above all) surfaces as
-             this answer's error — the answer itself is journaled and
-             applied, so the client's retry is an idempotent no-op. *)
-          let ck_result =
-            if
-              i.checkpoint_every > 0
-              && i.since_ck >= i.checkpoint_every
-              && not i.done_
-            then take_checkpoint i
-            else Ok ()
-          in
-          match ck_result with
-          | Error _ as e -> e
-          | Ok () ->
-              advance i;
-              Ok (view i)
-        with Journal.Io e -> Error e)
-    | Some (cq, _) when qid < cq -> Ok (view i) (* duplicate: no-op *)
-    | None when qid <= i.qid -> Ok (view i) (* late duplicate: no-op *)
-    | _ ->
+  let make ?journal ?resume ?(step_budget = Budget.unlimited)
+      ?checkpoint_every ~snapshot ~restore ~engine ~encode ~decode ~items () =
+    (* Each advance — the determined-scan between two questions — draws a
+       fresh step budget, in pool order (no worker pool: the session already
+       runs on one). *)
+    let advance s = Session.advance ~budget:(step_budget ()) s in
+    (* Counters only: no journal touch, no self-heal advance, no candidate
+       rendering — safe to call from the accept loop while the dispatcher
+       owns the session, at the price of weak consistency. *)
+    let peek s =
+      {
+        p_engine = engine;
+        p_done = Session.finished s;
+        p_degraded = Session.degraded s;
+        p_qid = Session.qid s;
+        p_open = Session.current s <> None;
+        p_questions = Session.questions s;
+        p_replayed = Session.replayed s;
+        p_pruned = Session.pruned s;
+        p_refused = Session.refused s;
+      }
+    in
+    let view s =
+      let current = Session.current s in
+      {
+        engine;
+        done_ = Session.finished s;
+        degraded = Session.degraded s;
+        qid = Session.qid s;
+        question = Option.map encode current;
+        question_text = Option.map (Format.asprintf "%a" S.pp_item) current;
+        questions = Session.questions s;
+        replayed = Session.replayed s;
+        pruned = Session.pruned s;
+        refused = Session.refused s;
+        query =
+          Option.map (Format.asprintf "%a" S.pp_query)
+            (S.candidate (Session.state s));
+      }
+    in
+    (* A [qid] at or below the current one when the question has moved on
+       is a client retrying a delivered reply: an idempotent no-op. *)
+    let answer s ~qid reply =
+      let current = Session.qid s in
+      if qid > current then
         Error
           (Error.invalid_input ~what:"qid"
              (Printf.sprintf
-                "answer for question %d but only %d have been asked" qid i.qid))
-
-  let make ?journal ?(resume = []) ?step_budget ?(checkpoint_every = 0)
-      ?snapshot ?restore ~engine ~encode ~decode ~items () =
-    let step_budget =
-      match step_budget with Some f -> f | None -> Budget.unlimited
+                "answer for question %d but only %d have been asked" qid
+                current))
+      else if qid < current || Session.current s = None then Ok (view s)
+      else
+        match
+          Session.answer s reply;
+          advance s
+        with
+        | () -> Ok (view s)
+        | exception Journal.Io e -> Error e
     in
-    let i =
-      {
-        engine;
-        encode;
-        journal;
-        step_budget;
-        snapshot;
-        checkpoint_every;
-        answered = Hashtbl.create 64;
-        answered_rev = [];
-        since_ck = 0;
-        st = S.init items;
-        pool = items;
-        current = None;
-        qid = 0;
-        questions = 0;
-        replayed = 0;
-        pruned = 0;
-        refused = 0;
-        done_ = false;
-        degraded = false;
-      }
-    in
-    let decode_or_fail key =
-      match decode key with
-      | Some it -> Ok it
-      | None ->
-          Error
-            (Error.invalid_input ~what:"journal"
-               (Printf.sprintf "undecodable replay item %S for engine %s" key
-                  engine))
-    in
-    (* Restore-then-replay: the last checkpoint (if any) replaces replaying
-       from record zero — the engine decodes its state snapshot, counters
-       and answered keys come back verbatim — and only the events after it
-       are folded.  [pruned]/[refused] restart at zero exactly as a plain
-       replay leaves them: the next [advance] re-derives pruned from the
-       remaining pool (determination is monotone, so the recount equals the
-       uninterrupted cumulative count), and refused items are back in the
-       pool awaiting another chance. *)
-    let ck, tail =
-      let rec split ck tail = function
-        | [] -> (ck, List.rev tail)
-        | Journal.Checkpoint c :: rest -> split (Some c) [] rest
-        | ev :: rest -> split ck (ev :: tail) rest
+    let on_journal f = match journal with None -> () | Some j -> f j in
+    match
+      let s =
+        Session.start
+          ?journal:(Option.map (fun j -> (j, encode)) journal)
+          ?resume:(Option.map (fun events -> (events, decode, restore)) resume)
+          ?checkpoint_every ~snapshot ~items ()
       in
-      split None [] resume
-    in
-    let restored =
-      match ck with
-      | None -> Ok ()
-      | Some c -> (
-          match restore with
-          | None ->
-              Error
-                (Error.invalid_input ~what:"journal"
-                   (Printf.sprintf
-                      "journal has a checkpoint but engine %s provides no \
-                       state decoder"
-                      engine))
-          | Some restore_state -> (
-              match restore_state c.Journal.ck_state with
-              | Error msg ->
-                  Error
-                    (Error.invalid_input ~what:"journal"
-                       ("undecodable checkpoint state: " ^ msg))
-              | Ok st ->
-                  i.st <- st;
-                  i.qid <- c.Journal.ck_qid;
-                  i.replayed <- c.Journal.ck_questions;
-                  List.iter
-                    (fun key ->
-                      if not (Hashtbl.mem i.answered key) then begin
-                        Hashtbl.replace i.answered key ();
-                        i.answered_rev <- key :: i.answered_rev
-                      end)
-                    c.Journal.ck_answered;
-                  Ok ()))
-    in
-    match restored with
-    | Error _ as e -> e
-    | Ok () -> (
-        (* Replay the tail: labeled answers rebuild the state (duplicates are
-           idempotent no-ops); refused/timed-out items stay in the pool; a
-           trailing [Asked] with no [Answered] is the open question, re-posed
-           without re-journaling. *)
-        let rec replay pending = function
-          | [] -> Ok pending
-          | Journal.Asked key :: rest ->
-              i.qid <- i.qid + 1;
-              replay (Some key) rest
-          | Journal.Answered (key, reply) :: rest -> (
-              match reply with
-              | Flaky.Refused | Flaky.Timed_out -> replay None rest
-              | Flaky.Label label ->
-                  if Hashtbl.mem i.answered key then replay None rest
-                  else (
-                    Hashtbl.replace i.answered key ();
-                    i.answered_rev <- key :: i.answered_rev;
-                    match decode_or_fail key with
-                    | Error _ as e -> e
-                    | Ok it ->
-                        i.st <- S.record i.st it label;
-                        i.replayed <- i.replayed + 1;
-                        replay None rest))
-          | Journal.Checkpoint _ :: rest ->
-              (* Cannot appear after the split above; ignore defensively. *)
-              replay None rest
-          | Journal.Completed :: rest ->
-              i.done_ <- true;
-              replay None rest
-        in
-        match replay None tail with
-        | Error _ as e -> e
-        | Ok pending -> (
-            if Hashtbl.length i.answered > 0 then
-              i.pool <-
-                List.filter
-                  (fun it -> not (Hashtbl.mem i.answered (encode it)))
-                  i.pool;
-            let finish () =
-              match
-                if i.current = None && not i.done_ then advance i
-              with
-              | exception Journal.Io e -> Error e
-              | () ->
-                  Ok
-                    {
-                      view =
-                        (fun () ->
-                          (* Self-heal a rolled-back ask: once the disk
-                             accepts records again, the next poll re-derives
-                             the question. *)
-                          if i.current = None && not i.done_ then
-                            (try advance i with Journal.Io _ -> ());
-                          view i);
-                      peek = (fun () -> peek i);
-                      answer = (fun ~qid reply -> answer i ~qid reply);
-                      checkpoint = (fun () -> take_checkpoint i);
-                      flush =
-                        (fun () ->
-                          (* Best-effort durability nudge between batches; a
-                             failing flush keeps its buffer and the next
-                             answer surfaces the storage error properly. *)
-                          match i.journal with
-                          | None -> ()
-                          | Some j -> (
-                              try Journal.flush j with Journal.Io _ -> ()));
-                      close =
-                        (fun () ->
-                          match i.journal with
-                          | None -> ()
-                          | Some j -> (
-                              try Journal.close j with Journal.Io _ -> ()));
-                      abort =
-                        (fun () ->
-                          match i.journal with
-                          | None -> ()
-                          | Some j -> Journal.abort j);
-                    }
-              in
-            match pending with
-            | Some _ when i.done_ -> finish ()
-            | Some key -> (
-                match decode_or_fail key with
-                | Error _ as e -> e
-                | Ok it ->
-                    (* The crash lost the answer in flight: re-pose the same
-                       question under its original qid.  The [Asked] record is
-                       already on disk — appending another would double-count. *)
-                    i.pool <- List.filter (fun it' -> encode it' <> key) i.pool;
-                    i.current <- Some (i.qid, it);
-                    finish ())
-            | None -> finish ()))
+      advance s;
+      s
+    with
+    | exception (Core.Interact.Replay_failed e | Journal.Io e) -> Error e
+    | s ->
+        Ok
+          {
+            view =
+              (fun () ->
+                (* Self-heal a rolled-back ask: once the disk accepts
+                   records again, the next poll re-derives the question. *)
+                (try advance s with Journal.Io _ -> ());
+                view s);
+            peek = (fun () -> peek s);
+            answer = (fun ~qid reply -> answer s ~qid reply);
+            checkpoint = (fun () -> Session.take_checkpoint s);
+            flush =
+              (fun () ->
+                (* Best-effort durability nudge between batches; a failing
+                   flush keeps its buffer and the next answer surfaces the
+                   storage error properly. *)
+                on_journal (fun j ->
+                    try Journal.flush j with Journal.Io _ -> ()));
+            close =
+              (fun () ->
+                on_journal (fun j ->
+                    try Journal.close j with Journal.Io _ -> ()));
+            abort = (fun () -> on_journal Journal.abort);
+          }
 end

@@ -1,18 +1,15 @@
-(** One interactive learning session, inverted: a state machine the server
-    drives one answer at a time.
+(** One interactive learning session, driven one answer at a time by a
+    remote client.
 
-    [Core.Interact.Make] owns its loop — it calls the oracle.  A server
-    cannot: the "oracle" is a remote client that answers whenever it
-    pleases, so the loop must be turned inside out.  A stepper holds the
-    loop's state between answers: the learner state, the remaining pool,
-    and at most one {e open question}.  {!Make.make} replays a recovered
-    journal (same semantics as [Interact.run_flaky]'s [resume]: labeled
-    answers fold into the state with duplicates as idempotent no-ops,
-    refused/timed-out items return to the pool, a trailing [Asked] without
-    its [Answered] becomes the open question again {e without}
-    re-journaling), then advances to the next question.  Each [answer]
-    journals the reply write-ahead, folds it in, and advances — pruning
-    newly determined items exactly as the batch loop does — until the pool
+    The session itself — replay, pruning, refusals, degradation,
+    checkpoints — is [Core.Interact.Make]'s core, the same one the CLI's
+    batch loop drives.  A server cannot call the oracle: the "oracle" is a
+    remote client that answers whenever it pleases.  So the stepper just
+    holds the session between answers, renders it as a {!view}, and feeds
+    each client answer to it.  {!Make.make} replays a recovered journal
+    (a question open at the crash is posed again under its original [qid],
+    without re-journaling) and advances to the next question.  Each
+    [answer] journals the reply, folds it in, and advances until the pool
     is empty ([Completed] is journaled) or the per-step budget dies
     (terminal {e degraded}: the candidate so far stands, and the journal
     stays resumable).
@@ -79,8 +76,8 @@ module Make (S : Core.Interact.SESSION) : sig
     ?resume:Core.Journal.event list ->
     ?step_budget:(unit -> Core.Budget.t) ->
     ?checkpoint_every:int ->
-    ?snapshot:(S.state -> string) ->
-    ?restore:(string -> (S.state, string) result) ->
+    snapshot:(S.state -> string) ->
+    restore:(string -> (S.state, string) result) ->
     engine:string ->
     encode:(S.item -> string) ->
     decode:(string -> S.item option) ->
@@ -88,17 +85,13 @@ module Make (S : Core.Interact.SESSION) : sig
     unit ->
     (t, Core.Error.t) result
   (** [encode]/[decode] are the journal codec (item identity on the wire
-      and in replay).  [step_budget] is drawn fresh for each advance (the
-      determined-scan between two questions); default unlimited.  Replay
-      events that [decode] rejects are a [Corrupt_journal]-style error.
-
-      [snapshot]/[restore] are the engine's accumulator codec.  When the
-      recovered events contain a {!Core.Journal.checkpoint}, [restore]
-      rebuilds the state from it and only the tail is replayed; a journal
-      bearing a checkpoint but no [restore] codec is refused.
-      [checkpoint_every] > 0 (requires both a journal and [snapshot])
-      compacts automatically every N labeled answers.  Storage failures
-      (ENOSPC, EIO) surface as typed [Error.Storage] results from [answer];
-      the journal is never left mid-write — it truncates back to its last
+      and in replay); [snapshot]/[restore] are the engine's accumulator
+      codec, used by checkpoints.  [step_budget] is drawn fresh for each
+      advance (the determined-scan between two questions); default
+      unlimited.  [resume] and [checkpoint_every] are as in
+      [Core.Interact.Make.start]: replay events that the codecs reject are
+      an [Invalid_input] error on ["journal"].  Storage failures (ENOSPC,
+      EIO) surface as typed [Error.Storage] results from [answer]; the
+      journal is never left mid-write — it truncates back to its last
       complete record. *)
 end

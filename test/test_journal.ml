@@ -261,13 +261,14 @@ end
 module Threshold_loop = Core.Interact.Make (Threshold_session)
 
 let encode_item = string_of_int
-let decode_item s = int_of_string s
 let items = List.init 30 Fun.id
 let goal = 13
 let oracle i = Core.Flaky.Label (i >= goal)
 
-let decode_replies events =
-  List.map (fun (s, reply) -> (decode_item s, reply)) events
+(* Recovered events plus the codecs replay needs; these sessions never
+   checkpoint, so there is no state to decode. *)
+let resume_of events =
+  (events, int_of_string_opt, fun _ -> Error "no checkpoints here")
 
 let test_replay_equals_live () =
   with_temp (fun path ->
@@ -277,8 +278,9 @@ let test_replay_equals_live () =
       Core.Journal.close j;
       (* … replayed in full: same query, zero live questions. *)
       let r = recovered_ok (Core.Journal.recover ~path) in
-      let resume = decode_replies (Core.Journal.answered r) in
-      let replayed = Threshold_loop.run_flaky ~resume ~oracle ~items () in
+      let replayed =
+        Threshold_loop.run_flaky ~resume:(resume_of r.events) ~oracle ~items ()
+      in
       Alcotest.(check (option int)) "same query" live.query replayed.query;
       Alcotest.(check int) "no live question on full replay" 0
         replayed.questions;
@@ -293,12 +295,18 @@ let test_replay_is_idempotent () =
       let live = Threshold_loop.run_flaky ~journal:(j, encode_item) ~oracle ~items () in
       Core.Journal.close j;
       let r = recovered_ok (Core.Journal.recover ~path) in
-      let resume = decode_replies (Core.Journal.answered r) in
       (* Duplicate every answer: the fold must treat repeats as no-ops. *)
-      let doubled = List.concat_map (fun a -> [ a; a ]) resume in
-      let replayed = Threshold_loop.run_flaky ~resume:doubled ~oracle ~items () in
+      let doubled =
+        List.concat_map
+          (function Core.Journal.Answered _ as ev -> [ ev; ev ] | ev -> [ ev ])
+          r.events
+      in
+      let replayed =
+        Threshold_loop.run_flaky ~resume:(resume_of doubled) ~oracle ~items ()
+      in
       Alcotest.(check (option int)) "same query" live.query replayed.query;
-      Alcotest.(check int) "duplicates not re-recorded" (List.length resume)
+      Alcotest.(check int) "duplicates not re-recorded"
+        (List.length (Core.Journal.answered r))
         replayed.replayed)
 
 exception Crash
@@ -326,10 +334,9 @@ let test_crash_then_resume () =
       match Core.Journal.resume ~sync:Core.Journal.Off ~path () with
       | Error e -> Alcotest.failf "resume failed: %s" (Core.Error.to_string e)
       | Ok (j2, r) ->
-          let resume = decode_replies (Core.Journal.answered r) in
           let resumed =
-            Threshold_loop.run_flaky ~journal:(j2, encode_item) ~resume ~oracle
-              ~items ()
+            Threshold_loop.run_flaky ~journal:(j2, encode_item)
+              ~resume:(resume_of r.events) ~oracle ~items ()
           in
           Core.Journal.close j2;
           Alcotest.(check (option int)) "same query as uninterrupted"
@@ -357,8 +364,9 @@ let test_refused_records_return_to_pool () =
         (Core.Journal.Answered (encode_item 20, Core.Flaky.Timed_out));
       Core.Journal.close j;
       let r = recovered_ok (Core.Journal.recover ~path) in
-      let resume = decode_replies (Core.Journal.answered r) in
-      let resumed = Threshold_loop.run_flaky ~resume ~oracle ~items () in
+      let resumed =
+        Threshold_loop.run_flaky ~resume:(resume_of r.events) ~oracle ~items ()
+      in
       let reference = Threshold_loop.run_flaky ~oracle ~items () in
       Alcotest.(check int) "nothing replayed" 0 resumed.replayed;
       Alcotest.(check int) "full session ran live" reference.questions
@@ -410,7 +418,7 @@ let test_split_checkpoint_takes_last () =
       Core.Journal.append j (Core.Journal.Asked "post");
       Core.Journal.close j;
       let r = recovered_ok (Core.Journal.recover ~path) in
-      let ck, tail = Core.Journal.split_checkpoint r in
+      let ck, tail = Core.Journal.split_checkpoint r.events in
       Alcotest.(check bool) "the last checkpoint wins" true
         (ck = Some sample_ck);
       Alcotest.(check bool) "only post-checkpoint events remain" true
@@ -420,7 +428,7 @@ let test_split_checkpoint_none () =
   with_temp (fun path ->
       write_sample path;
       let r = recovered_ok (Core.Journal.recover ~path) in
-      let ck, tail = Core.Journal.split_checkpoint r in
+      let ck, tail = Core.Journal.split_checkpoint r.events in
       Alcotest.(check bool) "no checkpoint" true (ck = None);
       Alcotest.(check bool) "full event list returned" true
         (tail = sample_events))
@@ -449,7 +457,7 @@ let test_compact_shrinks_then_resumes () =
       let r = recovered_ok (Core.Journal.recover ~path) in
       Alcotest.(check bool) "header survives compaction" true
         (r.header = Some header);
-      let ck, tail = Core.Journal.split_checkpoint r in
+      let ck, tail = Core.Journal.split_checkpoint r.events in
       Alcotest.(check bool) "the checkpoint is the snapshot" true
         (ck = Some sample_ck);
       Alcotest.(check bool) "the tail is the post-compaction append" true

@@ -1,7 +1,7 @@
-(* Tests for the serve stack: the JSON codec, HTTP framing, the inverted
-   interaction loop (stepper), the session registry's idempotency / quota /
-   crash-recovery contracts, admission control, and one in-process
-   daemon+client end-to-end run. *)
+(* Tests for the serve stack: the JSON codec, HTTP framing, the
+   answer-at-a-time session stepper, the session registry's
+   idempotency / quota / crash-recovery contracts, admission control, and
+   one in-process daemon+client end-to-end run. *)
 
 module Json = Server.Json
 module Http = Server.Http
@@ -195,7 +195,7 @@ let test_engines_spec_limits () =
   | Error e -> Alcotest.failf "default spec refused: %s" e
 
 (* ------------------------------------------------------------------ *)
-(* Stepper: the inverted loop                                          *)
+(* Stepper: the server's side of the session core                     *)
 (* ------------------------------------------------------------------ *)
 
 let twig_spec = { Engines.default_spec with Engines.engine = "twig"; seed = 7; scale = 0.02 }
@@ -253,9 +253,9 @@ let test_stepper_future_qid_rejected () =
   st.Stepper.close ()
 
 let test_stepper_matches_interact_loop () =
-  (* Differential: the inverted loop must walk the same path as the batch
-     loop it replaces — same strategy (pool order), same determined-pruning,
-     so same questions and same final query. *)
+  (* Differential: the server's stepper must walk the same path as the
+     batch loop over the same session core — same strategy (pool order),
+     same determined-pruning, so same questions and same final query. *)
   let doc = Benchkit.Xmark.generate ~scale:0.02 ~seed:7 () in
   let goal =
     match Twig.Parse.query_result "//person/name" with
