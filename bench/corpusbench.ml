@@ -339,9 +339,9 @@ let profile () =
   List.iter
     (fun (tag, xmlstore) ->
       T.reset ();
-      T.set_enabled true;
+      T.set_mode T.Full;
       let _, dt = time (run_session ~doc ~goal ~xmlstore) in
-      T.set_enabled false;
+      T.set_mode T.Ring;
       Printf.printf "pr9-profile: %s session %.1f ms\n" tag (dt *. 1e3);
       List.iteri
         (fun i (name, count, total, self) ->

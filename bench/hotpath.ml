@@ -112,9 +112,9 @@ let counter_value name = T.Metrics.counter_value (T.Metrics.counter name)
 
 let measure run c =
   apply c;
-  (* Timed reps run with telemetry disabled — we are measuring the engine,
-     not the instrumentation (BENCH_PR3's subject). *)
-  T.set_enabled false;
+  (* Timed reps run in the default mode (flight ring only) — we are
+     measuring the engine, not the instrumentation (BENCH_PR3's subject). *)
+  T.set_mode T.Ring;
   let questions = ref 0 in
   for _ = 1 to warmup do
     questions := run ()
@@ -129,7 +129,7 @@ let measure run c =
   (* One instrumented run for the span/counter evidence: where did the
      [twig.lgg] self-time go? *)
   T.reset ();
-  T.set_enabled true;
+  T.set_mode T.Full;
   ignore (run ());
   if Sys.getenv_opt "LEARNQ_PR4_SPANS" <> None then begin
     Printf.printf "pr4: spans for %s:\n" c.c_name;
@@ -162,7 +162,6 @@ let measure run c =
     }
   in
   T.reset ();
-  T.set_enabled false;
   restore_defaults ();
   r
 

@@ -13,7 +13,7 @@
    sessions — the reconnect-once-on-stale logic in the client absorbs
    idle eviction).  A sampler thread emits a time series: completions/sec
    over the interval, the sliding-window p50/p99 that /metrics exposes
-   (read in-process via [Core.Obs.Labeled], keeping the scrape off the
+   (read in-process via [Core.Telemetry.Labeled], keeping the scrape off the
    measured path), and connection/thread gauges scraped from /stats over
    the wire.
 
@@ -24,7 +24,6 @@ module Engines = Server.Engines
 module Client = Server.Client
 module Json = Server.Json
 module Prng = Core.Prng
-module Obs = Core.Obs
 
 let now = Core.Monotonic.now
 
@@ -255,7 +254,7 @@ let pop qu =
 (* ------------------------------------------------------------------ *)
 
 let window_ms cfg p =
-  Obs.Labeled.window_percentile "learnq_request_seconds"
+  Core.Telemetry.Labeled.window_percentile "learnq_request_seconds"
     [ ("tenant", cfg.lg_tenant) ]
     p
   *. 1e3

@@ -1,13 +1,16 @@
 (* The cost of observability (PR-3): what the telemetry layer adds to each
    interactive engine, measured two ways.
 
-   - Disabled path: the instrumentation compiles to a mutable-bool load and
-     branch per entry point.  We measure that per-call residue directly in a
-     tight loop, then scale it by the number of instrumentation events each
-     engine actually fires (read back from the enabled run's own counters) to
-     estimate the disabled overhead as a fraction of the engine's runtime.
+   - Disabled path: the default mode, which a CLI run without --trace,
+     --metrics or --summary pays.  Engine metrics are off, so a counter is
+     one mode load and branch; spans still write their begin/end events to
+     the flight ring.  We measure both per-call residues directly in a
+     tight loop, then scale them by the number of instrumentation events
+     each engine actually fires (read back from the enabled run's own
+     counters) to estimate the disabled overhead as a fraction of the
+     engine's runtime.
    - Enabled path: median wall-clock of the full session with spans + metrics
-     recording, against the disabled median.
+     recording ([Full] mode), against the disabled median.
 
    Results go to BENCH_PR3.json — machine-readable, for the CI artifact and
    the <5% disabled-overhead gate. *)
@@ -36,7 +39,7 @@ let median xs =
 (* ------------------------------------------------------------------ *)
 
 let disabled_incr_ns () =
-  T.set_enabled false;
+  T.set_mode T.Ring;
   let c = T.Metrics.counter "bench.overhead.disabled" in
   let n = 20_000_000 in
   let (), dt =
@@ -48,7 +51,7 @@ let disabled_incr_ns () =
   dt /. float_of_int n *. 1e9
 
 let disabled_span_ns () =
-  T.set_enabled false;
+  T.set_mode T.Ring;
   let n = 5_000_000 in
   let (), dt =
     time (fun () ->
@@ -174,9 +177,9 @@ let shadow_counters = [ "learnq.join.signature_tests" ]
 
 let measure ~incr_ns ~span_ns ~sh_ns (name, run) =
   (* Warm caches and allocators outside the timed region — separately for
-     each mode, so neither block pays the other's warmup. *)
+     each mode, so neither block pays the other's warmup.  [reset] leaves
+     the default mode, which the disabled block measures. *)
   T.reset ();
-  T.set_enabled false;
   for _ = 1 to warmup do
     ignore (run ())
   done;
@@ -189,16 +192,16 @@ let measure ~incr_ns ~span_ns ~sh_ns (name, run) =
   (* Enabled: reset between reps so each run records the same session; the
      last rep's registry is the one we read back. *)
   let questions = ref 0 in
-  T.set_enabled true;
   for _ = 1 to warmup do
     T.reset ();
+    T.set_mode T.Full;
     ignore (run ())
   done;
   let enabled_s =
     median
       (List.init reps (fun _ ->
            T.reset ();
-           T.set_enabled true;
+           T.set_mode T.Full;
            let q, dt = time run in
            questions := q;
            dt))
@@ -223,7 +226,6 @@ let measure ~incr_ns ~span_ns ~sh_ns (name, run) =
          aggregates)
   in
   T.reset ();
-  T.set_enabled false;
   let disabled_cost_s =
     (float_of_int counter_events *. incr_ns
     +. float_of_int shadow_events *. sh_ns

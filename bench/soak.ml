@@ -25,7 +25,7 @@ module Client = Server.Client
 module Json = Server.Json
 module Daemon = Server.Daemon
 module Prng = Core.Prng
-module Obs = Core.Obs
+module Telemetry = Core.Telemetry
 
 let getenv_int name default =
   match Option.bind (Sys.getenv_opt name) int_of_string_opt with
@@ -210,16 +210,15 @@ let drive_http ~port ~completed s =
 (* The sampler reads the same labeled series /metrics serves; sampling
    in-process keeps the scrape itself out of the measured request path. *)
 let p99_ms () =
-  Obs.Labeled.window_percentile "learnq_request_seconds"
+  Telemetry.Labeled.window_percentile "learnq_request_seconds"
     [ ("tenant", "soak") ]
     0.99
   *. 1e3
 
 let run_pass ~observe ~keep_flight sess =
   with_temp_dir "learnq-soak8" (fun dir ->
-      Obs.reset ();
-      Obs.Recorder.set_recording observe;
-      Core.Telemetry.set_enabled observe;
+      Telemetry.reset ();
+      Telemetry.set_mode (if observe then Telemetry.Full else Telemetry.Off);
       let port_box = ref 0 in
       let port_m = Mutex.create () in
       let port_cv = Condition.create () in
@@ -249,8 +248,7 @@ let run_pass ~observe ~keep_flight sess =
         ~finally:(fun () ->
           Daemon.drain daemon;
           Thread.join server_thread;
-          Core.Telemetry.set_enabled false;
-          Obs.Recorder.set_recording true)
+          Telemetry.set_mode Telemetry.Ring)
         (fun () ->
           Mutex.lock port_m;
           while !port_box = 0 do

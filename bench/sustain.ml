@@ -30,7 +30,6 @@ module Client = Server.Client
 module Json = Server.Json
 module Daemon = Server.Daemon
 module Tenant = Server.Tenant
-module Obs = Core.Obs
 
 let getenv_int name default =
   match Option.bind (Sys.getenv_opt name) int_of_string_opt with
@@ -113,7 +112,7 @@ let rec connect_retry ~port =
 
 let run_phase_a () =
   with_temp_dir "learnq-sustain" (fun dir ->
-      Obs.reset ();
+      Core.Telemetry.reset ();
       let io_threads = io_threads_n () in
       let herd = herd_n () in
       let port_box = ref 0 in

@@ -257,7 +257,7 @@ module Make (S : SESSION) = struct
             t.qid <- t.qid + 1;
             t.pool <- List.filter (fun it -> it != item) opens;
             t.current <- Some item;
-            Obs.Recorder.record
+            Telemetry.Recorder.record
               ~detail:(Printf.sprintf "qid=%d" t.qid)
               "session.asked"
           end
@@ -303,7 +303,7 @@ module Make (S : SESSION) = struct
     | Some item ->
         let key = jencode t item in
         jappend t (Journal.Answered (key, reply));
-        Obs.Recorder.record
+        Telemetry.Recorder.record
           ~detail:(Printf.sprintf "qid=%d" t.qid)
           "session.answered";
         (match reply with
@@ -439,7 +439,7 @@ module Make (S : SESSION) = struct
               loop ())
     in
     Telemetry.with_span "interact.session"
-      ~attrs:[ ("items", string_of_int (List.length items)) ]
+      ~detail:("items=" ^ string_of_int (List.length items))
       loop
 
   let run ?rng ?strategy ?max_questions ?budget ?journal ?resume

@@ -246,10 +246,10 @@ let frame payload =
 (* ------------------------------------------------------------------ *)
 
 let fsync_timed t =
-  (* Flight-recorder span regardless of telemetry: a stalled fsync must be
-     findable from the recorder dump alone, stamped with the trace of the
-     request that paid for it. *)
-  Obs.Recorder.with_span ~detail:t.path "journal.fsync" (fun () ->
+  (* A span in the default mode too: a stalled fsync must be findable from
+     the flight-recorder dump alone, stamped with the trace of the request
+     that paid for it. *)
+  Telemetry.with_span ~detail:t.path "journal.fsync" (fun () ->
       if Telemetry.enabled () then begin
         let t0 = Monotonic.now () in
         Vfs.fsync t.vfs t.fh;
@@ -737,6 +737,6 @@ let compact t ck =
           t.broken <- false;
           Buffer.clear t.pending;
           t.pending_records <- 0;
-          Obs.Recorder.record ~detail:t.path "journal.compact";
+          Telemetry.Recorder.record ~detail:t.path "journal.compact";
           Telemetry.Metrics.incr m_compactions;
           Ok ())

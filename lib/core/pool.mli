@@ -31,9 +31,9 @@
 
     Worker closures must confine their mutation to their own result slots
     and to domain-local state ([Domain.DLS] — see the twig containment
-    cache).  {!Telemetry} is single-domain by design: its entry points
-    no-op off the main domain, so instrumented code is safe, if uncounted,
-    inside a worker. *)
+    cache).  {!Telemetry} is domain-safe: instrumented code may run inside
+    a worker, and its counters, histograms and spans are counted as if
+    the work had run on the calling domain. *)
 
 type t
 

@@ -1,47 +1,51 @@
-(** Telemetry: spans, metrics, and structured logs for every learner engine.
+(** Telemetry: spans, metrics, trace ids, a flight recorder, and structured
+    logs — one layer for the learner engines and for the [serve] daemon.
 
     The paper's quantitative claims are claims about {e counts and costs} —
     convergence "generally from two examples" (§2) is a question count, the
     PTIME containment of DMS (§2) is a bound on containment-check work.  This
     module gives the engines first-class accounting for both: a span tracer
     for where the time goes, a metrics registry for how much work was done,
-    and a leveled key=value logger correlated with the active span.
+    and a leveled key=value logger correlated with the active span.  For the
+    server it adds request-scoped trace ids, an always-on flight recorder,
+    and labeled sliding-window metrics.
 
-    {2 The zero-cost disabled path}
-
-    Telemetry is {b off by default}.  Every instrumentation entry point
-    ({!with_span}, {!Metrics.incr}, {!Metrics.observe}, the {!Log} functions
-    below their level) starts with a single mutable-bool load and branch, so
-    an un-instrumented-feeling fast path survives in the innermost
-    enumeration loops.  [bench pr3] measures the residue (<2% on the E1 twig
-    workload).
+    Instrumented code runs on the main domain, on connection systhreads
+    sharing it, and on {!Pool} worker domains; everything here is safe on
+    all of them, and work done anywhere is counted.  Every engine entry
+    point ({!with_span}, {!Metrics.incr}, {!Metrics.observe}) starts with a
+    single load and branch on the mode, so an un-instrumented-feeling fast
+    path survives in the innermost enumeration loops; [bench pr3] measures
+    the residue in the default mode.
 
     {2 Naming scheme}
 
     Metrics are named [learnq.<engine>.<name>] — e.g.
     [learnq.interact.questions], [learnq.journal.fsync_s],
     [learnq.twig.contain_calls].  Spans use [<engine>.<what>] ("interact.ask",
-    "twiglearn.lgg", "twig.contain.minimize").
+    "twiglearn.lgg", "twig.contain.minimize").  Labeled server families use
+    Prometheus names ([learnq_requests_total]).
 
-    {2 Domains}
+    Nothing here may perturb engine behaviour: no journal writes, no
+    question-sequence effects.  The [telemetry-transparency] fuzz oracle
+    checks that observed and unobserved sessions yield identical
+    transcripts and journal bytes. *)
 
-    The registry and span stack are single-domain mutable state.  Code
-    instrumented with spans or counters may nevertheless run inside
-    {!Pool} worker domains: every entry point no-ops off the main domain
-    (the check follows the enabled-flag load, so the disabled fast path
-    is unchanged).  Work done by worker domains is therefore {e not}
-    counted — the parallel determined-scan reports its aggregates from the
-    main domain instead (see DESIGN §8). *)
+(** {1 The switch} *)
 
-(** {1 Master switch} *)
+(** [Off] records nothing.  [Ring], the default, records spans and events
+    in the flight ring only.  [Full] adds engine metrics, span rollups and
+    the [--trace] buffer; [--trace], [--metrics] and [--summary] select it. *)
+type mode = Off | Ring | Full
 
-val enabled : unit -> bool
-val set_enabled : bool -> unit
+val mode : unit -> mode
+val set_mode : mode -> unit
+val enabled : unit -> bool  (** [mode () = Full] *)
 
 val reset : unit -> unit
-(** Zero every metric, drop all recorded spans and the run context, close any
-    open span stack.  Registered metric handles stay valid.  For tests and
-    benchmarks. *)
+(** For tests and benchmarks: clear the flight ring, zero every metric and
+    forget label sets, drop recorded spans, open span stacks and the run
+    context, and return to [Ring].  Registered metric handles stay valid. *)
 
 (** {1 Run context}
 
@@ -53,31 +57,50 @@ val reset : unit -> unit
 val set_context : (string * string) list -> unit
 (** Merge pairs into the run context (later values win per key). *)
 
-val context : unit -> (string * string) list
-(** Current context including the [git] revision probe. *)
+(** {1 Trace ids}
+
+    A trace id names one request end to end.  Storage is keyed by
+    [(domain, thread)] — {e not} [Domain.DLS], which cannot distinguish two
+    connection systhreads on the main domain. *)
+
+module Trace : sig
+  val mint : unit -> string
+  (** A fresh process-unique id ([t<pid>-<seq>]). *)
+
+  val valid : string -> bool
+  (** Accept an inbound id: non-empty, at most 64 chars, alphanumeric plus
+      [-_.] — anything else is replaced by a minted id rather than echoed
+      into logs and headers. *)
+
+  val set : string option -> unit
+  (** Install (or clear) the calling thread's trace id. *)
+
+  val current : unit -> string option
+
+  val with_trace : string -> (unit -> 'a) -> 'a
+  (** Run with the id installed, restoring the previous id even on raise.
+      Used to carry a captured trace onto a pool worker domain. *)
+end
 
 (** {1 Spans}
 
     Nested, monotonic-clock-timed intervals.  A span is opened and closed by
-    {!with_span}; nesting follows the call stack.  Completed spans are kept
-    (up to a cap) for the Chrome exporter, and aggregated by name (count,
-    total, self time) regardless of the cap. *)
+    {!with_span}; nesting follows each thread's call stack. *)
 
-val with_span :
-  ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] runs [f ()] inside a span.  The span closes even when
+val with_span : ?detail:string -> string -> (unit -> 'a) -> 'a
+(** [with_span name f] runs [f ()] inside a span, which closes even when
     [f] raises (e.g. {!Budget.Out_of_budget} escaping an enumeration).
-    Identity when telemetry is disabled. *)
+    Unless the mode is [Off], the flight ring gets paired [Begin]/[End]
+    events stamped with the thread's trace id ([detail] rides on the
+    [Begin]).  In [Full] mode the span is also kept (up to a cap) for the
+    Chrome exporter and aggregated by name (count, total, self time)
+    regardless of the cap.  Identity when [Off]. *)
 
 val current_span_id : unit -> int option
-(** Innermost open span, for log correlation. *)
+(** The calling thread's innermost open span ([Full]), for log correlation. *)
 
 val span_count : unit -> int
-(** Completed spans currently recorded (post-cap). *)
-
-val dropped_spans : unit -> int
-(** Spans timed but not recorded because the in-memory cap was reached; they
-    still count in the by-name aggregates. *)
+(** Completed spans kept for {!trace_json}: capped, unlike the rollup. *)
 
 val span_aggregates : unit -> (string * int * float * float) list
 (** Per-name rollup [(name, count, total_s, self_s)], sorted by total time
@@ -86,13 +109,58 @@ val span_aggregates : unit -> (string * int * float * float) list
 
 val trace_json : unit -> string
 (** Chrome [trace_event] export (JSON object format: ["traceEvents"] complete
-    events plus an ["otherData"] header with the run context).  Loadable in
-    [chrome://tracing] and Perfetto. *)
+    events, one lane per domain, plus an ["otherData"] header with the run
+    context).  Loadable in [chrome://tracing] and Perfetto. *)
 
-val pp_span_tree : Format.formatter -> unit -> unit
-(** Compact text dump of the span forest with durations. *)
+(** {1 Flight recorder}
 
-(** {1 Metrics} *)
+    A fixed-size ring of recent events, on unless the mode is [Off], dumped
+    when something goes wrong (quarantine, watchdog trip) or on demand
+    ([/debug/flightrecorder]).  Writers lock only the slot their domain
+    hashes to; the critical section is two array stores. *)
+
+module Recorder : sig
+  type phase = Instant | Begin | End
+
+  type event = {
+    ev_ns : int64;  (** monotonic timestamp *)
+    ev_dom : int;  (** recording domain *)
+    ev_trace : string option;  (** the recording thread's trace id *)
+    ev_name : string;
+    ev_detail : string;
+    ev_phase : phase;  (** [Instant] from {!record}; spans write the pairs *)
+  }
+
+  val record : ?detail:string -> string -> unit
+  (** Append an [Instant] event (unless the mode is [Off]); overwrites the
+      oldest once the ring is full.  [Begin]/[End] events come only from
+      {!with_span}. *)
+
+  val set_capacity : int -> unit
+  (** Total event capacity across all ring slots (default 4096).  Resets
+      the buffers. *)
+
+  val events : unit -> event list
+  (** All retained events, oldest first across slots. *)
+
+  val trace_events : string -> event list
+  (** Retained events stamped with the given trace id: one request's span
+      tree across the domains it touched. *)
+
+  val dump_json : unit -> string
+  (** Chrome [trace_event] JSON: instant events plus begin/end span pairs,
+      one lane per domain, [args.trace] linking lanes of one request. *)
+
+  val dump_to_file : string -> unit
+  (** Best-effort write of {!dump_json}; never raises. *)
+end
+
+(** {1 Metrics}
+
+    One registry of named counters, gauges and log-scale histograms, each
+    family holding one series per label set.  The handles below are the
+    unlabeled engine series, recorded in [Full] mode only; {!Labeled}
+    addresses labeled series by name and always records. *)
 
 module Metrics : sig
   type counter
@@ -104,20 +172,21 @@ module Metrics : sig
       module-initialisation time keeps the hot path free of table lookups. *)
 
   val incr : ?by:int -> counter -> unit
-  (** No-op while telemetry is disabled. *)
+  (** Lock-free: bumps the calling domain's shard.  No-op unless [Full]. *)
 
   val counter_value : counter -> int
+  (** Summed over every domain, exited ones too. *)
 
   val gauge : string -> gauge
-  val set : gauge -> float -> unit
+  val set : gauge -> float -> unit  (** No-op unless [Full]. *)
+
   val gauge_value : gauge -> float
 
   val histogram : string -> histogram
-  (** Log-scale histogram (2 buckets per octave from 1e-9 up): made for
-      latencies spanning nanoseconds to minutes. *)
+  (** Since-boot log-scale histogram (2 buckets per octave from 1e-9 up):
+      made for latencies spanning nanoseconds to minutes. *)
 
-  val observe : histogram -> float -> unit
-  (** Record a sample.  No-op while telemetry is disabled. *)
+  val observe : histogram -> float -> unit  (** No-op unless [Full]. *)
 
   val hist_count : histogram -> int
   val hist_sum : histogram -> float
@@ -127,30 +196,62 @@ module Metrics : sig
       minimum at [p <= 0.], the exact maximum at [p >= 1.]; otherwise the
       geometric midpoint of the bucket holding the nearest-rank sample,
       clamped to the observed [min, max] (so single-sample and all-equal
-      series are exact). *)
+      series are exact).  Windowed series use the same estimate. *)
 
   val metrics_json : unit -> string
-  (** All registered metrics plus the run-context header and the span
+  (** Every unlabeled series plus the run-context header and the span
       rollup, as a JSON object. *)
 
   val metrics_prometheus : unit -> string
-  (** Prometheus text exposition: counters and gauges as-is, histograms as
-      summaries (count, sum, p50/p90/p99 quantiles), the run context as a
-      [learnq_run_info] gauge with labels. *)
+  (** Prometheus text exposition of every family: counters and gauges
+      as-is, histograms as summaries (p50/p90/p99 quantiles, [_sum] and
+      [_count]; windowed ones over the live window), labels as labels, and
+      the run context as a [learnq_run_info] gauge. *)
+end
+
+module Labeled : sig
+  val incr : ?by:int -> string -> (string * string) list -> unit
+  (** Bump a labeled counter, creating the family/series on first use. *)
+
+  val counter_value : string -> (string * string) list -> int
+
+  val observe : string -> (string * string) list -> float -> unit
+  (** Record a sample into a sliding-window histogram: 6 sub-windows of
+      10 s each, a one-minute sliding view.  Rotation is lazy (no ticker
+      thread). *)
+
+  val window_stats :
+    string ->
+    (string * string) list ->
+    (int * float * float * float * float) option
+  (** [(count, sum, p50, p90, p99)] over the live window, or [None] for an
+      unknown series. *)
+
+  val window_percentile : string -> (string * string) list -> float -> float
+  (** 0. on an empty window or an unknown series. *)
+
+  val series_count : string -> int
+  (** Distinct label sets in a family (includes the overflow series). *)
+
+  val set_max_series : int -> unit
+  (** Per-family label-cardinality cap (default 64).  Past the cap, new
+      label sets collapse into one [{overflow="true"}] series so the
+      overflow is visible instead of unbounded. *)
+
+  val set_clock : (unit -> float) option -> unit
+  (** Test hook: window rotation reads this clock ([None] = monotonic). *)
 end
 
 (** {1 Structured logging}
 
     Leveled key=value logging to stderr (or a caller-supplied formatter),
     correlated with the active span and — when the serving path installed
-    one on this thread — the active {!Obs.Trace} id ([trace=] key).
-    Distinct from the master switch: logs work whether or not spans/metrics
-    are enabled, gated only by level. *)
+    one on this thread — the active {!Trace} id ([trace=] key).
+    Independent of the mode: logs are gated only by level. *)
 
 type level = Debug | Info | Warn | Error
 
 val level_of_string : string -> level option
-val level_to_string : level -> string
 
 module Log : sig
   val set_level : level option -> unit
@@ -158,23 +259,13 @@ module Log : sig
 
   val level : unit -> level option
 
-  val set_formatter : Format.formatter -> unit
-  (** Redirect output (default: stderr). *)
-
-  val logs : level -> bool
-  (** Would a message at this level be emitted? *)
+  val set_formatter : Format.formatter -> unit  (** Default: stderr. *)
 
   val debug : ?kv:(string * string) list -> string -> unit
   val info : ?kv:(string * string) list -> string -> unit
   val warn : ?kv:(string * string) list -> string -> unit
   val error : ?kv:(string * string) list -> string -> unit
 end
-
-(** {1 End-of-run summary} *)
-
-val pp_summary : Format.formatter -> unit -> unit
-(** Stats table: non-zero counters and gauges, histogram quantiles, and the
-    span time rollup. *)
 
 (** {1 CLI wiring} *)
 
@@ -185,9 +276,10 @@ val configure :
   ?summary:bool ->
   unit ->
   unit
-(** One-call setup for the [learnq] binary: enables telemetry when any of
+(** One-call setup for the [learnq] binary: switches to [Full] when any of
     [trace]/[metrics]/[summary] is requested, sets the log level, and
     registers an [at_exit] hook that writes the trace JSON to [trace], the
     metrics JSON to [metrics] (plus [<metrics>.prom] in Prometheus text
-    exposition), and prints the summary table to stderr — also on early
+    exposition), and prints a summary table to stderr (non-zero counters
+    and gauges, histogram quantiles, the span time rollup) — also on early
     [exit], e.g. degraded outcomes or an injected crash. *)

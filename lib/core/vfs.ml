@@ -89,7 +89,7 @@ let note st path op kind =
   (* Flight-recorder breadcrumb: when a request later shows up slow or a
      journal quarantined, the injected fault is visible in the same dump,
      stamped with the request's trace id. *)
-  Obs.Recorder.record ~detail:(fault_to_string f) "vfs.fault"
+  Telemetry.Recorder.record ~detail:(fault_to_string f) "vfs.fault"
 
 let faults = function
   | Real -> []
@@ -206,7 +206,7 @@ let fsync t fh =
          handles keep working — only this fsync (and its request) drags. *)
       let stall = locked st (fun () -> st.stall_s) in
       if stall > 0. then begin
-        Obs.Recorder.record
+        Telemetry.Recorder.record
           ~detail:(Printf.sprintf "%s %.3fs" fh.fh_path stall)
           "vfs.stall";
         Unix.sleepf stall

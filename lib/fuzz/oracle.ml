@@ -1477,13 +1477,16 @@ let vfs_torn_write =
 (* telemetry-transparency: observability must not perturb learning     *)
 (* ------------------------------------------------------------------ *)
 
-(* The observability PR's contract: traces, the flight recorder, and
-   telemetry are {e pure observers}.  Driving the same session with
-   everything on (recorder recording, a trace installed, telemetry
-   enabled) and with everything off must produce the identical question
-   transcript, the identical learned query, and byte-identical journals.
-   Stepper journal entries carry no timestamps, so any divergence means
-   an observer leaked into the learning or persistence path. *)
+(* The observability contract: traces, the flight recorder, and telemetry
+   are {e pure observers}.  Driving the same session with everything on
+   (telemetry in [Full] mode, a trace installed) and with everything off
+   must produce the identical question transcript, the identical learned
+   query, and byte-identical journals.  Stepper journal entries carry no
+   timestamps, so any divergence means an observer leaked into the
+   learning or persistence path.  The observed pass runs on a spawned
+   domain, as [serve] runs sessions on pool domains, so the layer's
+   worker-domain recording (counter shards, per-thread span stacks) is
+   what gets checked. *)
 
 (* One full session in a fresh state directory; returns
    (question transcript, final query, raw journal bytes). *)
@@ -1505,7 +1508,9 @@ let tt_run c client ~observe =
           ~finally:(fun () -> Server.Registry.drain reg)
           (fun () ->
             if observe then
-              Core.Obs.Trace.with_trace "tt-fuzz-trace" body
+              Domain.join
+                (Domain.spawn (fun () ->
+                     Core.Telemetry.Trace.with_trace "tt-fuzz-trace" body))
             else body ())
       in
       match driven with
@@ -1521,18 +1526,13 @@ let check_telemetry_transparency c =
   let client = serve_client c truth in
   (* Save and force the observability state around each run so the oracle
      composes with whatever the harness set up. *)
-  let saved_tel = Core.Telemetry.enabled () in
-  let saved_rec = Core.Obs.Recorder.is_recording () in
+  let saved = Core.Telemetry.mode () in
   Fun.protect
-    ~finally:(fun () ->
-      Core.Telemetry.set_enabled saved_tel;
-      Core.Obs.Recorder.set_recording saved_rec)
+    ~finally:(fun () -> Core.Telemetry.set_mode saved)
     (fun () ->
-      Core.Telemetry.set_enabled true;
-      Core.Obs.Recorder.set_recording true;
+      Core.Telemetry.set_mode Core.Telemetry.Full;
       let on = tt_run c client ~observe:true in
-      Core.Telemetry.set_enabled false;
-      Core.Obs.Recorder.set_recording false;
+      Core.Telemetry.set_mode Core.Telemetry.Off;
       let off = tt_run c client ~observe:false in
       match (on, off) with
       | (Error _ as e), _ | _, (Error _ as e) -> e

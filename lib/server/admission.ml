@@ -103,12 +103,12 @@ let submit t ~tenant ~key run =
       match Retry.breaker_state b with
       | Retry.Open ->
           t.tripped <- t.tripped + 1;
-          Core.Obs.Recorder.record ~detail:tenant "admission.tripped";
+          Core.Telemetry.Recorder.record ~detail:tenant "admission.tripped";
           Tripped (suggest t)
       | Retry.Closed | Retry.Half_open ->
           if t.total >= t.max_queue then begin
             t.shed <- t.shed + 1;
-            Core.Obs.Recorder.record ~detail:key "admission.shed";
+            Core.Telemetry.Recorder.record ~detail:key "admission.shed";
             Shed (suggest t)
           end
           else begin
@@ -116,7 +116,7 @@ let submit t ~tenant ~key run =
               {
                 tenant;
                 key;
-                trace = Core.Obs.Trace.current ();
+                trace = Core.Telemetry.Trace.current ();
                 run;
                 result = None;
                 m = Mutex.create ();

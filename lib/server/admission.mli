@@ -21,7 +21,7 @@ type job = {
   tenant : string;
   key : string;  (** session key; batches are key-disjoint *)
   trace : string option;
-      (** the submitting request's {!Core.Obs.Trace} id, captured at
+      (** the submitting request's {!Core.Telemetry.Trace} id, captured at
           enqueue; the dispatcher re-installs it around [run] so journal
           and vfs events on the pool domain carry the request's trace *)
   run : unit -> Http.response;

@@ -1,6 +1,5 @@
 module Error = Core.Error
 module Telemetry = Core.Telemetry
-module Obs = Core.Obs
 
 type config = {
   host : string;
@@ -93,11 +92,9 @@ type t = {
   stalled : int Atomic.t;  (** watchdog trips, lifetime *)
 }
 
-let m_requests = Telemetry.Metrics.counter "learnq.serve.requests"
 let m_shed = Telemetry.Metrics.counter "learnq.serve.shed"
 let m_tripped = Telemetry.Metrics.counter "learnq.serve.tripped"
 let m_faults = Telemetry.Metrics.counter "learnq.serve.client_faults"
-let m_request_s = Telemetry.Metrics.histogram "learnq.serve.request_s"
 let g_sessions = Telemetry.Metrics.gauge "learnq.serve.sessions"
 
 let m_degraded = Telemetry.Metrics.counter "learnq.serve.degraded_entered"
@@ -119,7 +116,7 @@ let create cfg =
   in
   let admission = Admission.create ~max_queue:cfg.max_queue () in
   if cfg.flight_recorder_size > 0 then
-    Obs.Recorder.set_capacity cfg.flight_recorder_size;
+    Telemetry.Recorder.set_capacity cfg.flight_recorder_size;
   {
     cfg;
     registry;
@@ -207,7 +204,7 @@ let json_response ?(headers = []) status j =
 let error_response ?headers status msg =
   let fields = [ ("error", Json.Str msg) ] in
   let fields =
-    match Obs.Trace.current () with
+    match Telemetry.Trace.current () with
     | Some id -> fields @ [ ("trace", Json.Str id) ]
     | None -> fields
   in
@@ -256,7 +253,7 @@ let split_path path =
   String.split_on_char '/' path |> List.filter (fun s -> s <> "")
 
 (* Metric label for a route: session ids are collapsed so the label set
-   stays small (the Obs cardinality cap would fold an id-per-series
+   stays small (the Telemetry cardinality cap would fold an id-per-series
    explosion into an overflow bucket, but there is no reason to get near
    it). *)
 let route_label meth parts =
@@ -325,13 +322,13 @@ let watchdog t =
   List.iter
     (fun e ->
       Atomic.incr t.stalled;
-      Obs.Labeled.incr "learnq_watchdog_stalled_total"
+      Telemetry.Labeled.incr "learnq_watchdog_stalled_total"
         [ ("tenant", e.if_tenant); ("route", e.if_route) ];
-      Obs.Recorder.record
+      Telemetry.Recorder.record
         ~detail:(Printf.sprintf "%s %s age>%.1fs" e.if_trace e.if_route
                    t.cfg.stall_after)
         "watchdog.stall";
-      Obs.Recorder.dump_to_file
+      Telemetry.Recorder.dump_to_file
         (Filename.concat t.cfg.state_dir "flightrecorder-stall.json");
       Telemetry.Log.warn
         ~kv:
@@ -344,12 +341,12 @@ let watchdog t =
     tripped
 
 let observe_request t ~trace ~route ~tenant ~status ~dur =
-  Obs.Labeled.incr "learnq_requests_total"
+  Telemetry.Labeled.incr "learnq_requests_total"
     [ ("route", route); ("outcome", outcome_label status); ("tenant", tenant) ];
-  Obs.Labeled.observe "learnq_request_seconds" [ ("tenant", tenant) ] dur;
+  Telemetry.Labeled.observe "learnq_request_seconds" [ ("tenant", tenant) ] dur;
   let ms = dur *. 1e3 in
   if ms >= t.cfg.slow_ms then begin
-    Obs.Recorder.record
+    Telemetry.Recorder.record
       ~detail:(Printf.sprintf "%s %s %.1fms" route tenant ms)
       "http.slow";
     let e =
@@ -400,7 +397,8 @@ let session_job t ~tenant (req : Http.request) parts body =
                               spec
                           with
                           | Ok view ->
-                              Obs.Labeled.incr "learnq_sessions_created_total"
+                              Telemetry.Labeled.incr
+                                "learnq_sessions_created_total"
                                 [
                                   ("engine", spec.Engines.engine);
                                   ("tenant", tenant);
@@ -585,7 +583,6 @@ let debug_slow_json t =
 
 let handle t (req : Http.request) =
   Atomic.incr t.requests;
-  if Telemetry.enabled () then Telemetry.Metrics.incr m_requests;
   let parts = split_path req.path in
   match (req.meth, parts) with
   | "GET", [ "healthz" ] -> json_response 200 (healthz_json t)
@@ -594,10 +591,9 @@ let handle t (req : Http.request) =
       {
         Http.status = 200;
         headers = [ ("Content-Type", "text/plain; version=0.0.4") ];
-        (* Process-wide since-boot metrics (PR3 registry) followed by the
-           labeled, sliding-window series — one scrape gets both. *)
-        body =
-          Telemetry.Metrics.metrics_prometheus () ^ Obs.Labeled.prometheus ();
+        (* One registry: the since-boot engine series and the labeled,
+           sliding-window request series in one scrape. *)
+        body = Telemetry.Metrics.metrics_prometheus ();
       }
   | "GET", [ "debug"; sub ] when t.cfg.debug_endpoints -> (
       match sub with
@@ -608,7 +604,7 @@ let handle t (req : Http.request) =
           {
             Http.status = 200;
             headers = [ ("Content-Type", "application/json") ];
-            body = Obs.Recorder.dump_json ();
+            body = Telemetry.Recorder.dump_json ();
           }
       | _ -> error_response 404 "no such debug endpoint")
   | _ ->
@@ -665,16 +661,21 @@ let handle t (req : Http.request) =
 let request_handler t (req : Http.request) =
   let trace =
     match Http.header "x-learnq-trace" req with
-    | Some id when Obs.Trace.valid id -> id
-    | _ -> Obs.Trace.mint ()
+    | Some id when Telemetry.Trace.valid id -> id
+    | _ -> Telemetry.Trace.mint ()
   in
-  Obs.Trace.set (Some trace);
+  Telemetry.Trace.set (Some trace);
   let route = route_label req.meth (split_path req.path) in
   let tenant = tenant_of req in
   let seq = track_inflight t ~trace ~route ~tenant in
-  let t0 = Unix.gettimeofday () in
+  (* One monotonic reading around the span feeds both the windowed
+     latency histogram and the slow ring, so a wall-clock step cannot put a
+     bogus latency into either.  The span takes its own readings of the
+     same clock, so its duration may differ from [dur] by the span's own
+     bookkeeping. *)
+  let t0 = Core.Monotonic.now () in
   let resp =
-    Obs.Recorder.with_span
+    Telemetry.with_span
       ~detail:(req.meth ^ " " ^ req.path)
       "http.request"
       (fun () ->
@@ -683,11 +684,10 @@ let request_handler t (req : Http.request) =
         | exception exn ->
             error_response 500 ("internal error: " ^ Printexc.to_string exn))
   in
-  let dur = Unix.gettimeofday () -. t0 in
+  let dur = Core.Monotonic.now () -. t0 in
   untrack_inflight t seq;
   observe_request t ~trace ~route ~tenant ~status:resp.Http.status ~dur;
-  Obs.Trace.set None;
-  if Telemetry.enabled () then Telemetry.Metrics.observe m_request_s dur;
+  Telemetry.Trace.set None;
   { resp with Http.headers = ("X-Learnq-Trace", trace) :: resp.Http.headers }
 
 (* ------------------------------------------------------------------ *)
@@ -716,7 +716,7 @@ let dispatcher t pool () =
                  produced inside the job all stamp the same id the client
                  saw in its X-Learnq-Trace header. *)
               let go () =
-                Obs.Recorder.with_span ~detail:job.Admission.key "serve.job"
+                Telemetry.with_span ~detail:job.Admission.key "serve.job"
                   (fun () ->
                     match job.Admission.run () with
                     | resp -> resp
@@ -725,7 +725,7 @@ let dispatcher t pool () =
                           ("internal error: " ^ Printexc.to_string exn))
               in
               match job.Admission.trace with
-              | Some id -> Obs.Trace.with_trace id go
+              | Some id -> Telemetry.Trace.with_trace id go
               | None -> go ())
             batch
         in

@@ -43,7 +43,7 @@
     {2 Observability}
 
     Every request gets a trace id — a well-formed inbound [X-Learnq-Trace]
-    is honored, otherwise one is minted — installed in {!Core.Obs.Trace}
+    is honored, otherwise one is minted — installed in {!Core.Telemetry.Trace}
     for the connection thread, captured into the admission job, and
     re-installed on the pool domain that executes it: log lines, error
     bodies, flight-recorder events (journal fsyncs, vfs faults, question

@@ -123,9 +123,9 @@ let quarantine t ~path =
   (* Freeze the last moments next to the corpse: the flight-recorder dump
      shows what the server was doing (faults, fsyncs, evictions) in the
      window before this journal went bad. *)
-  Core.Obs.Recorder.record ~detail:path "registry.quarantine";
-  if Core.Obs.Recorder.is_recording () then
-    Core.Obs.Recorder.dump_to_file (path ^ ".quarantine.flight.json");
+  Core.Telemetry.Recorder.record ~detail:path "registry.quarantine";
+  if Core.Telemetry.mode () <> Core.Telemetry.Off then
+    Core.Telemetry.Recorder.dump_to_file (path ^ ".quarantine.flight.json");
   if Core.Telemetry.enabled () then begin
     Core.Telemetry.Metrics.incr m_quarantined;
     Core.Telemetry.Log.warn
@@ -390,7 +390,7 @@ let evict_idle t =
             match s.stepper.Stepper.checkpoint () with
             | Ok () ->
                 s.stepper.Stepper.close ();
-                Core.Obs.Recorder.record ~detail:k "session.evicted";
+                Core.Telemetry.Recorder.record ~detail:k "session.evicted";
                 true
             | Error _ -> false
           in

@@ -32,11 +32,8 @@ let bounded ?budget ?filter_depth ?max_filters_per_node ~max_size examples =
     |> List.filter (fun l -> String.length l = 0 || l.[0] <> '#')
   in
   Core.Telemetry.with_span "twiglearn.enumerate.search"
-    ~attrs:
-      [
-        ("alphabet", string_of_int (List.length alphabet));
-        ("max_size", string_of_int max_size);
-      ]
+    ~detail:
+      (Printf.sprintf "alphabet=%d max_size=%d" (List.length alphabet) max_size)
   @@ fun () ->
   Seq.find
     (fun q ->

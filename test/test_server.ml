@@ -987,7 +987,7 @@ let test_daemon_degraded_mode_self_heals () =
    recorder with the http.request span linked to the journal/vfs events on
    the pool domain, and in the /debug/flightrecorder dump. *)
 let test_daemon_slow_request_traceable () =
-  Core.Obs.reset ();
+  Core.Telemetry.reset ();
   with_temp_dir (fun dir ->
       let vfs = Core.Vfs.faulty ~seed:3 Core.Flaky.no_disk_faults in
       let port_box = ref 0 in
@@ -1090,8 +1090,8 @@ let test_daemon_slow_request_traceable () =
                  fsync and the injected vfs stall across the domain hop. *)
               let names =
                 List.map
-                  (fun e -> e.Core.Obs.Recorder.ev_name)
-                  (Core.Obs.Recorder.trace_events trace)
+                  (fun e -> e.Core.Telemetry.Recorder.ev_name)
+                  (Core.Telemetry.Recorder.trace_events trace)
               in
               List.iter
                 (fun expected ->
@@ -1171,7 +1171,7 @@ let test_daemon_slow_request_traceable () =
                 (has "tenant=\"anon\"");
               Alcotest.(check bool) "watchdog never tripped" true
                 (Server.Daemon.stalled daemon = 0))));
-  Core.Obs.reset ()
+  Core.Telemetry.reset ()
 
 (* The /debug surface can be turned off wholesale. *)
 let test_daemon_debug_endpoints_disableable () =
