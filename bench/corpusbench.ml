@@ -1,11 +1,12 @@
 (* The xmlstore performance pass (PR 9), two claims, both CI-gated:
 
-   Phase A — indexing beats walking.  The same deterministic interactive
-   learn-twig session (XMark scale 10, the BENCH_PR3/PR4 goal query) runs
-   once on the index-backed evaluator (containment labels + inverted name
-   lists + structural joins) and once on the bottom-up tree walk
-   (--no-xmlstore).  Gate: indexed >= 5x, with identical question
-   transcripts — the evaluator swap must be invisible to the learner.
+   Phase A — indexing beats walking.  Learn-twig's query trajectory
+   (XMark scale 10, the BENCH_PR3/PR4 goal query) runs through the
+   index-backed evaluator (containment labels + inverted name lists +
+   structural joins) and through the bottom-up tree walk, [select_walk].
+   Gate: indexed >= 5x, with identical answers, and a full indexed session
+   whose question transcript matches the tree-walk reference — the
+   evaluator must be invisible to the learner.
 
    Phase B — parallelism at the right granularity.  BENCH_PR4 is honest
    that pool > 1 *loses* on the probe loop once probes are O(1); the shard
@@ -59,32 +60,52 @@ let output = "BENCH_PR9.json"
    index-backed evaluator and through the reference tree walk, and gates
    on indexed >= 5x with identical answers per query.
 
-   That the evaluator swap is invisible to the learner itself — byte-
-   identical question transcripts under --no-xmlstore — is checked with a
-   full session at a smaller scale, where session wall time is dominated
-   by the learner either way and adds only seconds to the bench. *)
+   That the evaluator is invisible to the learner itself is checked with
+   a full indexed session at a smaller scale (XMark scale 4, seed 1), where
+   session wall time is dominated by the learner either way.  Its
+   transcript and final query must equal those of a tree-walk session run
+   alone in its process, recorded below when the walk was still a session
+   mode: 713 questions. *)
+
+let session_scale = 4.0
+let walk_transcript_digest = "469cd2fa29411fe2c51c17ac530365f4"
+
+let walk_final_query =
+  "/site[categories/category[@id][description//text]/name][catgraph]\
+   [closed_auctions/closed_auction[buyer/@person][date][itemref/@item]\
+   [price][quantity][seller/@person]/type][open_auctions/open_auction[@id]\
+   [current][initial][interval[end]/start][itemref/@item][quantity]\
+   [seller/@person]/type][regions[africa/item[@id][description//text]\
+   [location][name][payment][quantity]/shipping][asia/item[@id]\
+   [description//text][location][name][payment][quantity]/shipping]\
+   [australia/item[@id][description//text][location][name][payment]\
+   [quantity]/shipping][europe/item[@id][description//text][location]\
+   [name][payment][quantity]/shipping][namerica/item[@id]\
+   [description//text][location][name][payment][quantity]/shipping]\
+   /samerica/item[@id][description//text][location][name][payment]\
+   [quantity]/shipping]/people/person[@id][emailaddress]\
+   [profile[@income][business]/education]/name"
 
 type session_result = {
   s_questions : int;
-  s_transcript : (string * bool) list;
+  s_digest : string;  (* MD5 of the "<path> +|-" lines of the transcript *)
   s_query : string;
 }
 
-let run_session ~doc ~goal ~xmlstore () =
-  Twig.Eval.set_xmlstore xmlstore;
-  Fun.protect
-    ~finally:(fun () -> Twig.Eval.set_xmlstore true)
-    (fun () ->
-      let o = TI.run_with_goal ~rng:(Core.Prng.create 1) ~doc ~goal () in
-      {
-        s_questions = o.TI.Loop.questions;
-        s_transcript =
-          List.map (fun (it, ans) -> (TI.encode_item it, ans)) o.TI.Loop.asked;
-        s_query =
-          (match o.TI.Loop.query with
-          | Some q -> Twig.Query.to_string q
-          | None -> "<none>");
-      })
+let run_session ~doc ~goal () =
+  let o = TI.run_with_goal ~rng:(Core.Prng.create 1) ~doc ~goal () in
+  {
+    s_questions = o.TI.Loop.questions;
+    s_digest =
+      o.TI.Loop.asked
+      |> List.map (fun (it, ans) ->
+             TI.encode_item it ^ if ans then " +" else " -")
+      |> String.concat "\n" |> Digest.string |> Digest.to_hex;
+    s_query =
+      (match o.TI.Loop.query with
+      | Some q -> Twig.Query.to_string q
+      | None -> "<none>");
+  }
 
 (* The queries learn-twig evaluates on [doc] while learning [goal]: the
    goal itself plus the LGG candidate after every positive-example
@@ -122,7 +143,6 @@ let phase_a () =
   let passes = env_int "LEARNQ_PR9_PASSES" 10 in
   let queries = trajectory ~doc ~goal in
   let d = Twig.Eval.index doc in
-  Twig.Eval.set_xmlstore true;
   let run_indexed () =
     for _ = 1 to passes do
       List.iter (fun q -> ignore (Twig.Eval.select_doc d q)) queries
@@ -144,13 +164,12 @@ let phase_a () =
   run_walk ();
   let idx_s = median (List.init reps (fun _ -> snd (time run_indexed))) in
   let walk_s = median (List.init reps (fun _ -> snd (time run_walk))) in
-  (* Transcript equality: one full session per evaluator. *)
-  let sscale = env_float "LEARNQ_PR9_SESSION_SCALE" 4.0 in
-  let sdoc = Benchkit.Xmark.generate ~scale:sscale ~seed:1 () in
-  let r_idx = run_session ~doc:sdoc ~goal ~xmlstore:true () in
-  let r_walk = run_session ~doc:sdoc ~goal ~xmlstore:false () in
+  (* Transcript equality against the recorded tree-walk session. *)
+  let sdoc = Benchkit.Xmark.generate ~scale:session_scale ~seed:1 () in
+  let r_idx = run_session ~doc:sdoc ~goal () in
   let transcripts_agree =
-    r_idx.s_transcript = r_walk.s_transcript && r_idx.s_query = r_walk.s_query
+    r_idx.s_digest = walk_transcript_digest
+    && r_idx.s_query = walk_final_query
   in
   ( Xmltree.Tree.size doc,
     scale,
@@ -159,7 +178,6 @@ let phase_a () =
     idx_s,
     walk_s,
     answers_agree,
-    sscale,
     r_idx,
     transcripts_agree )
 
@@ -330,50 +348,48 @@ let verdict_json (i, valid, counts) =
     (String.concat ", " (List.map string_of_int counts))
 
 (* Diagnostic mode (LEARNQ_PR9_PROFILE=1): span and counter breakdown of
-   one instrumented session per evaluator, plus a select-only microbench. *)
+   one instrumented session, plus a select-only microbench of the joins
+   against the tree walk. *)
 let profile () =
   let module T = Core.Telemetry in
   let scale = env_float "LEARNQ_PR9_SCALE" 10.0 in
   let doc = Benchkit.Xmark.generate ~scale ~seed:1 () in
   let goal = Twig.Parse.query "//person[profile/education]/name" in
+  T.reset ();
+  T.set_mode T.Full;
+  let _, dt = time (run_session ~doc ~goal) in
+  T.set_mode T.Ring;
+  Printf.printf "pr9-profile: session %.1f ms\n" (dt *. 1e3);
+  List.iteri
+    (fun i (name, count, total, self) ->
+      if i < 10 then
+        Printf.printf
+          "pr9-profile:   %-28s n=%-7d total %8.1f ms self %8.1f ms\n" name
+          count (total *. 1e3) (self *. 1e3))
+    (T.span_aggregates ());
   List.iter
-    (fun (tag, xmlstore) ->
-      T.reset ();
-      T.set_mode T.Full;
-      let _, dt = time (run_session ~doc ~goal ~xmlstore) in
-      T.set_mode T.Ring;
-      Printf.printf "pr9-profile: %s session %.1f ms\n" tag (dt *. 1e3);
-      List.iteri
-        (fun i (name, count, total, self) ->
-          if i < 10 then
-            Printf.printf "pr9-profile:   %-28s n=%-7d total %8.1f ms self %8.1f ms\n"
-              name count (total *. 1e3) (self *. 1e3))
-        (T.span_aggregates ());
-      List.iter
-        (fun c ->
-          Printf.printf "pr9-profile:   %-40s %d\n" c
-            (T.Metrics.counter_value (T.Metrics.counter c)))
-        [ "learnq.twig.eval_cache_hits"; "learnq.twig.eval_cache_misses";
-          "learnq.twig.join_evals"; "learnq.twig.walk_evals" ];
-      T.reset ())
-    [ ("indexed", true); ("tree-walk", false) ];
+    (fun c ->
+      Printf.printf "pr9-profile:   %-40s %d\n" c
+        (T.Metrics.counter_value (T.Metrics.counter c)))
+    [ "learnq.twig.eval_cache_hits"; "learnq.twig.eval_cache_misses";
+      "learnq.twig.join_evals" ];
+  T.reset ();
   let sel q tag =
     let query = Twig.Parse.query q in
+    let d = Twig.Eval.index doc in
     List.iter
-      (fun (mode, xmlstore) ->
-        Twig.Eval.set_xmlstore xmlstore;
-        let d = Twig.Eval.index doc in
-        ignore (Twig.Eval.select_doc d query);
+      (fun (mode, select) ->
+        ignore (select ());
         let _, dt =
           time (fun () ->
               for _ = 1 to 100 do
-                ignore (Twig.Eval.select_doc d query)
+                ignore (select ())
               done)
         in
-        Twig.Eval.set_xmlstore true;
         Printf.printf "pr9-profile: select %s %-10s 100x = %7.1f ms\n" tag mode
           (dt *. 1e3))
-      [ ("indexed", true); ("walk", false) ]
+      [ ("indexed", fun () -> Twig.Eval.select_doc d query);
+        ("walk", fun () -> Twig.Eval.select_walk query doc) ]
   in
   sel "//person[profile/education]/name" "goal  ";
   sel "//*[*/*]/*" "wild  "
@@ -389,7 +405,6 @@ let run () =
         idx_s,
         walk_s,
         answers_agree,
-        sscale,
         r_idx,
         transcripts_agree ) =
     phase_a ()
@@ -401,7 +416,7 @@ let run () =
      passes): indexed %7.1f ms, tree-walk %7.1f ms — %.1fx (gate >= 5x: %b, \
      answers agree: %b, session transcripts agree at scale %g: %b)\n"
     scale doc_nodes n_queries passes (idx_s *. 1e3) (walk_s *. 1e3) speedup
-    indexed_ok answers_agree sscale transcripts_agree;
+    indexed_ok answers_agree session_scale transcripts_agree;
   let shards, cscale, eval_rounds, corpus_nodes, v1, t1, v2, t2, reload_matches
       =
     phase_b ()
@@ -454,7 +469,8 @@ let run () =
 }
 |}
       scale doc_nodes n_queries passes idx_s walk_s speedup answers_agree
-      sscale r_idx.s_questions r_idx.s_query transcripts_agree shards cscale
+      session_scale r_idx.s_questions r_idx.s_query transcripts_agree shards
+      cscale
       corpus_nodes eval_rounds
       (String.concat ", " (List.map (Printf.sprintf "%S") query_texts))
       t1 t2

@@ -3,17 +3,23 @@
    determined-scan, measured end-to-end on the interactive learn-twig
    session that BENCH_PR3 profiled ([twig.lgg] was 62% of wall time there).
 
-   Every configuration plays the *same* deterministic session — the
-   ablation switches and the pool size change how fast the answers are
-   computed, never which questions are asked; [questions_agree] in the
-   output asserts it.  The baseline configuration restores the PR 3 code
-   paths exactly: batch refold per answer and per probe, no characteristic
-   memo, no containment cache, sequential scan.
+   Every row plays the *same* deterministic session — the session module
+   and the pool size change how fast the answers are computed, never which
+   questions are asked; [questions_agree] in the output asserts it.  The
+   baseline row is the reference session, [Interactive.Batch], which
+   refolds the positives per answer and per probe.  Every row runs on the
+   index-backed evaluator with the characteristic and containment memos.
+
+   Each row times repeats of one session in one process, so a later rep
+   reuses the merges an earlier rep left in the per-domain memos (the
+   probe memo shares extensions across the sessions of one document).  The
+   incremental rows' speedup is a repeat-session figure.
 
    Results go to BENCH_PR4.json — machine-readable, for the CI artifact and
    the >= 2x learn-twig speedup gate (target 3x). *)
 
 module T = Core.Telemetry
+module TI = Twiglearn.Interactive
 
 let time f =
   let t0 = Core.Monotonic.now () in
@@ -31,63 +37,32 @@ let median xs =
 (* Workload: the BENCH_PR3 learn-twig session                          *)
 (* ------------------------------------------------------------------ *)
 
+type config = {
+  c_name : string;
+  c_batch : bool;  (* the reference session, [Interactive.Batch] *)
+  c_pool : int;  (* determined-scan lanes *)
+}
+
+let configs =
+  [
+    { c_name = "baseline"; c_batch = true; c_pool = 1 };
+    { c_name = "incremental"; c_batch = false; c_pool = 1 };
+    { c_name = "incremental+pool2"; c_batch = false; c_pool = 2 };
+    { c_name = "incremental+pool4"; c_batch = false; c_pool = 4 };
+  ]
+
+(* [twig_workload () c pool ()] plays one session under [c] on [pool] and
+   returns the number of questions asked. *)
 let twig_workload () =
   let doc = Benchkit.Xmark.generate ~scale:1.0 ~seed:1 () in
   let goal = Twig.Parse.query "//person[profile/education]/name" in
-  let items = Twiglearn.Interactive.items_of_doc doc in
+  let items = TI.items_of_doc doc in
   let oracle it = Core.Flaky.Label (Twig.Eval.selects_example goal it) in
-  fun () ->
-    let o =
-      Twiglearn.Interactive.Loop.run_flaky ~rng:(Core.Prng.create 1) ~oracle
-        ~items ()
-    in
-    o.Twiglearn.Interactive.Loop.questions
-
-(* ------------------------------------------------------------------ *)
-(* Configurations                                                      *)
-(* ------------------------------------------------------------------ *)
-
-type config = {
-  c_name : string;
-  c_batch : bool;  (* refold the positives per answer/probe (PR 3 path) *)
-  c_caches : bool;  (* characteristic memo + containment cache *)
-  c_pool : int;  (* determined-scan lanes *)
-  c_xmlstore : bool;  (* index-backed evaluator (PR 9) vs tree walk *)
-}
-
-(* The PR 4 rows keep the tree-walk evaluator — "baseline" restores the
-   PR 3 code paths exactly, and the speedup gate compares against the same
-   ladder it always has.  The xmlstore row stacks the PR 9 index-backed
-   evaluator on top of the best PR 4 configuration; at this document scale
-   the session is learner-bound (see bench pr9), so its contribution here
-   is visibility, not the gate. *)
-let configs =
-  [
-    { c_name = "baseline"; c_batch = true; c_caches = false; c_pool = 1;
-      c_xmlstore = false };
-    { c_name = "incremental"; c_batch = false; c_caches = true; c_pool = 1;
-      c_xmlstore = false };
-    { c_name = "incremental+pool2"; c_batch = false; c_caches = true;
-      c_pool = 2; c_xmlstore = false };
-    { c_name = "incremental+pool4"; c_batch = false; c_caches = true;
-      c_pool = 4; c_xmlstore = false };
-    { c_name = "incremental+xmlstore"; c_batch = false; c_caches = true;
-      c_pool = 1; c_xmlstore = true };
-  ]
-
-let apply c =
-  Twiglearn.Interactive.set_batch_lgg c.c_batch;
-  Twiglearn.Positive.set_char_cache c.c_caches;
-  Twig.Contain.set_filter_cache ~enabled:c.c_caches ();
-  Twig.Eval.set_xmlstore c.c_xmlstore;
-  Core.Pool.set_default_size c.c_pool
-
-let restore_defaults () =
-  Twiglearn.Interactive.set_batch_lgg false;
-  Twiglearn.Positive.set_char_cache true;
-  Twig.Contain.set_filter_cache ~enabled:true ();
-  Twig.Eval.set_xmlstore true;
-  Core.Pool.set_default_size 1
+  fun c pool () ->
+    let rng = Core.Prng.create 1 in
+    if c.c_batch then
+      (TI.Batch.Loop.run_flaky ~rng ~pool ~oracle ~items ()).questions
+    else (TI.Loop.run_flaky ~rng ~pool ~oracle ~items ()).questions
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
@@ -110,8 +85,9 @@ type result = {
 
 let counter_value name = T.Metrics.counter_value (T.Metrics.counter name)
 
-let measure run c =
-  apply c;
+let measure workload c =
+  let pool = Core.Pool.create c.c_pool in
+  let run = workload c pool in
   (* Timed reps run in the default mode (flight ring only) — we are
      measuring the engine, not the instrumentation (BENCH_PR3's subject). *)
   T.set_mode T.Ring;
@@ -162,7 +138,7 @@ let measure run c =
     }
   in
   T.reset ();
-  restore_defaults ();
+  Core.Pool.shutdown pool;
   r
 
 (* ------------------------------------------------------------------ *)
@@ -178,8 +154,7 @@ let span_json s =
 
 let result_json ~baseline_s r =
   Printf.sprintf
-    {|    { "config": %S, "batch_lgg": %b, "caches": %b, "pool": %d,
-      "xmlstore": %b,
+    {|    { "config": %S, "batch_lgg": %b, "pool": %d,
       "questions": %d, "median_s": %.6f, "speedup": %.2f,
       "lgg_refolds": %d, "lgg_incremental_merges": %d,
       "char_cache": { "hits": %d, "misses": %d },
@@ -187,16 +162,16 @@ let result_json ~baseline_s r =
       "lgg_spans": [
 %s
       ] }|}
-    r.r_config.c_name r.r_config.c_batch r.r_config.c_caches r.r_config.c_pool
-    r.r_config.c_xmlstore r.r_questions r.r_median_s
+    r.r_config.c_name r.r_config.c_batch r.r_config.c_pool r.r_questions
+    r.r_median_s
     (if r.r_median_s > 0. then baseline_s /. r.r_median_s else 0.)
     r.r_lgg_calls r.r_inc_calls r.r_char_hits r.r_char_misses r.r_contain_hits
     r.r_contain_misses
     (String.concat ",\n" (List.map span_json r.r_lgg_spans))
 
 let run () =
-  let run_session = twig_workload () in
-  let results = List.map (measure run_session) configs in
+  let workload = twig_workload () in
+  let results = List.map (measure workload) configs in
   let baseline =
     match results with r :: _ -> r | [] -> assert false
   in

@@ -698,7 +698,7 @@ let learn_twig_cmd =
     exit_degraded_if ~breaker_open:outcome.breaker_open
       ~degraded:outcome.degraded "the learned twig"
   in
-  let run () () () files selects goal with_schema exact budget interactive seed
+  let run () () files selects goal with_schema exact budget interactive seed
       journal sync resume checkpoint_every crash_after noise refusal
       timeout_rate retries breaker =
     if interactive || journal <> None then
@@ -753,49 +753,13 @@ let learn_twig_cmd =
              --goal as the simulated user; supports --journal/--resume crash \
              recovery and the flaky-oracle flags.")
   in
-  (* Ablation switches for the PR 4 hot-path optimizations — they exist so
-     [bench pr4]'s baselines can be reproduced from the CLI. *)
-  let ablation_term =
-    let batch_lgg =
-      Arg.(
-        value & flag
-        & info [ "batch-lgg" ]
-            ~doc:
-              "Ablation: refold the whole positive set per answer and per \
-               probe instead of maintaining the incremental LGG.")
-    in
-    let no_contain_cache =
-      Arg.(
-        value & flag
-        & info [ "no-contain-cache" ]
-            ~doc:
-              "Ablation: disable the hash-consed filter-containment cache \
-               used by LGG minimization.")
-    in
-    let no_xmlstore =
-      Arg.(
-        value & flag
-        & info [ "no-xmlstore" ]
-            ~doc:
-              "Ablation: evaluate twigs with the bottom-up tree walk instead \
-               of the index-backed structural joins over the labeled store.  \
-               Answers (and therefore question sequences and journals) are \
-               identical either way.")
-    in
-    let setup batch nocache nostore =
-      if batch then Twiglearn.Interactive.set_batch_lgg true;
-      if nocache then Twig.Contain.set_filter_cache ~enabled:false ();
-      if nostore then Twig.Eval.set_xmlstore false
-    in
-    Term.(const setup $ batch_lgg $ no_contain_cache $ no_xmlstore)
-  in
   Cmd.v
     (Cmd.info "learn-twig"
        ~doc:
          "Learn a twig query from annotated nodes; with --exact, run the \
           budgeted exact search with graceful degradation; with \
           --interactive, run a journaled question-answer session.")
-    Term.(const run $ telemetry_term $ pool_term $ ablation_term $ doc_files
+    Term.(const run $ telemetry_term $ pool_term $ doc_files
           $ selects $ goal $ with_schema
           $ exact $ budget_term $ interactive $ seed_term $ journal_arg
           $ journal_sync_arg $ resume_arg $ checkpoint_every_arg

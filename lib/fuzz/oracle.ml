@@ -315,8 +315,7 @@ let lgg_incremental =
 (* Interactive sessions                                                *)
 (* ------------------------------------------------------------------ *)
 
-let transcript (o : TI.Loop.outcome) =
-  List.map (fun (it, l) -> (TI.encode_item it, l)) o.asked
+let transcript asked = List.map (fun (it, l) -> (TI.encode_item it, l)) asked
 
 let transcripts_differ name ta tb =
   if ta = tb then Ok ()
@@ -341,16 +340,15 @@ let queries_equal name qa qb =
       (match qb with Some q -> Query.to_string q | None -> "⊥")
 
 let check_interact_batch (doc, goal) =
-  let run ~batch =
-    TI.set_batch_lgg batch;
-    Fun.protect
-      ~finally:(fun () -> TI.set_batch_lgg false)
-      (fun () -> TI.run_with_goal ~rng:(Prng.create 17) ~doc ~goal ())
+  let b =
+    TI.Batch.Loop.run ~rng:(Prng.create 17)
+      ~oracle:(Twig.Eval.selects_example goal)
+      ~items:(TI.items_of_doc doc) ()
   in
-  let b = run ~batch:true in
-  let i = run ~batch:false in
+  let i = TI.run_with_goal ~rng:(Prng.create 17) ~doc ~goal () in
   let* () =
-    transcripts_differ "batch vs incremental" (transcript b) (transcript i)
+    transcripts_differ "batch vs incremental" (transcript b.asked)
+      (transcript i.asked)
   in
   queries_equal "batch vs incremental" b.query i.query
 
@@ -406,7 +404,7 @@ let run_pooled ~pool_size ~doc ~goal =
                   ~oracle:(fun it -> Twig.Eval.selects_example goal it)
                   ~items:(TI.items_of_doc doc) ())
           in
-          (transcript out, out.query, read_file path)))
+          (transcript out.asked, out.query, read_file path)))
 
 let check_interact_pool (doc, goal) =
   let t1, q1, j1 = run_pooled ~pool_size:1 ~doc ~goal in
@@ -466,8 +464,8 @@ let check_journal_resume (doc, goal, permille) =
                       ~oracle ~items ())
               in
               let* () =
-                transcripts_differ "full vs resumed" (transcript full)
-                  (transcript resumed)
+                transcripts_differ "full vs resumed" (transcript full.asked)
+                  (transcript resumed.asked)
               in
               queries_equal "full vs resumed" full.query resumed.query))
 
@@ -1731,12 +1729,11 @@ let all =
 
 let find n = List.find_opt (fun o -> name o = n) all
 
-(* Oracles that flip process-global switches (the batch-LGG ablation,
-   the telemetry enable) or boot the in-process daemon cannot overlap
-   other oracles without perturbing them; the parallel runner keeps
-   these on the calling domain.  Everything else confines its state to
-   locals, unique temp files, or Domain.DLS caches. *)
-let serial_names =
-  [ "interact-batch"; "telemetry-transparency"; "server-crash-resume" ]
+(* Oracles that flip the process-global telemetry mode or boot the
+   in-process daemon cannot overlap other oracles without perturbing them;
+   the parallel runner keeps these on the calling domain.  Everything else
+   confines its state to locals, unique temp files, or Domain.DLS
+   caches. *)
+let serial_names = [ "telemetry-transparency"; "server-crash-resume" ]
 
 let serial o = List.mem (name o) serial_names

@@ -127,8 +127,8 @@ let run_sequential ~oracles ~budget ~dir ~max_size ~iters ~seed =
    stream (derived from the master seed and its name, exactly as in
    sequential mode), its own temp files, and its own Domain.DLS caches —
    so running them on a pool changes nothing about any oracle's cases.
-   Oracles flagged {!Oracle.serial} mutate process-global switches and
-   run on the calling domain after the parallel batch.  Stats keep the
+   Oracles flagged {!Oracle.serial} mutate process-global state and run
+   on the calling domain after the parallel batch.  Stats keep the
    input oracle order.  The only observable difference from jobs=1 is
    under a budget: sequential mode stops scheduling oracles once the
    fuel runs out, while parallel mode reports a (possibly interrupted)

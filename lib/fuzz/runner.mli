@@ -45,12 +45,12 @@ val run :
     sequential mode, and each oracle's state is confined to locals,
     unique temp files, and domain-local caches, so every oracle sees the
     same cases at every job count; {!Oracle.serial} oracles (which flip
-    process-global switches) run on the calling domain after the
-    parallel batch.  Stats stay in input oracle order.  Under a budget,
-    sequential mode stops scheduling oracles when fuel runs out, while
-    parallel mode reports an entry per oracle; the shared fuel counter is
-    decremented from all lanes without synchronization — ticks may be
-    lost, the cap is approximate. *)
+    the telemetry mode or boot the daemon) run on the calling domain
+    after the parallel batch.  Stats stay in input oracle order.  Under a
+    budget, sequential mode stops scheduling oracles when fuel runs out,
+    while parallel mode reports an entry per oracle; the shared fuel
+    counter is decremented from all lanes without synchronization — ticks
+    may be lost, the cap is approximate. *)
 
 val replay :
   Artifact.t -> [ `Passed | `Failed of string | `Unknown_oracle of string ]

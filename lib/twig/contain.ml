@@ -182,12 +182,7 @@ let m_cache_hits = Core.Telemetry.Metrics.counter "learnq.twig.contain_cache_hit
 let m_cache_misses =
   Core.Telemetry.Metrics.counter "learnq.twig.contain_cache_misses"
 
-let cache_on = ref true
-let cache_capacity = ref (1 lsl 16)
-
-let set_filter_cache ?enabled ?capacity () =
-  Option.iter (fun b -> cache_on := b) enabled;
-  Option.iter (fun c -> cache_capacity := max 16 c) capacity
+let cache_capacity = 1 lsl 16
 
 type memo = { tbl : (int * int, bool) Hashtbl.t; mutable m_gen : int }
 
@@ -195,37 +190,33 @@ let memo_dls : memo Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { tbl = Hashtbl.create 4096; m_gen = 0 })
 
-let filter_subsumed ((a1, f1) as e1) ((a2, f2) as e2) =
+let filter_subsumed (a1, f1) (a2, f2) =
   Core.Telemetry.Metrics.incr m_filter_subsumed;
-  if not !cache_on then filter_subsumed_uncached e1 e2
-  else begin
-    let memo = Domain.DLS.get memo_dls in
-    let gen = Hcons.generation () in
-    if memo.m_gen <> gen then begin
-      Hashtbl.reset memo.tbl;
-      memo.m_gen <- gen
-    end;
-    let f1c, id1 = Hcons.filter f1 and f2c, id2 = Hcons.filter f2 in
-    (* An id re-check: interning may itself have cleared the tables. *)
-    let gen' = Hcons.generation () in
-    if memo.m_gen <> gen' then begin
-      Hashtbl.reset memo.tbl;
-      memo.m_gen <- gen'
-    end;
-    let axis_bit = function Query.Child -> 0 | Query.Descendant -> 1 in
-    let key = ((id1 lsl 1) lor axis_bit a1, (id2 lsl 1) lor axis_bit a2) in
-    match Hashtbl.find_opt memo.tbl key with
-    | Some b ->
-        Core.Telemetry.Metrics.incr m_cache_hits;
-        b
-    | None ->
-        Core.Telemetry.Metrics.incr m_cache_misses;
-        let b = filter_subsumed_uncached (a1, f1c) (a2, f2c) in
-        if Hashtbl.length memo.tbl >= !cache_capacity then
-          Hashtbl.reset memo.tbl;
-        Hashtbl.add memo.tbl key b;
-        b
-  end
+  let memo = Domain.DLS.get memo_dls in
+  let gen = Hcons.generation () in
+  if memo.m_gen <> gen then begin
+    Hashtbl.reset memo.tbl;
+    memo.m_gen <- gen
+  end;
+  let f1c, id1 = Hcons.filter f1 and f2c, id2 = Hcons.filter f2 in
+  (* An id re-check: interning may itself have cleared the tables. *)
+  let gen' = Hcons.generation () in
+  if memo.m_gen <> gen' then begin
+    Hashtbl.reset memo.tbl;
+    memo.m_gen <- gen'
+  end;
+  let axis_bit = function Query.Child -> 0 | Query.Descendant -> 1 in
+  let key = ((id1 lsl 1) lor axis_bit a1, (id2 lsl 1) lor axis_bit a2) in
+  match Hashtbl.find_opt memo.tbl key with
+  | Some b ->
+      Core.Telemetry.Metrics.incr m_cache_hits;
+      b
+  | None ->
+      Core.Telemetry.Metrics.incr m_cache_misses;
+      let b = filter_subsumed_uncached (a1, f1c) (a2, f2c) in
+      if Hashtbl.length memo.tbl >= cache_capacity then Hashtbl.reset memo.tbl;
+      Hashtbl.add memo.tbl key b;
+      b
 
 (* ------------------------------------------------------------------ *)
 (* Canonical models                                                    *)

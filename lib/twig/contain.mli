@@ -25,20 +25,17 @@ val equiv : Query.t -> Query.t -> bool
 val filter_subsumed : Query.axis * Query.filter -> Query.axis * Query.filter -> bool
 (** [filter_subsumed (a1,f1) (a2,f2)] iff the condition [(a1,f1)] implies
     [(a2,f2)] at any node: used to prune redundant filters.  Memoized in a
-    bounded per-domain table keyed on hash-consed filter ids ({!Hcons}) —
-    the quadratic loop of [Lgg.prune_maximal] re-tests the same edge pairs
-    throughout a session, so repeats cost one int-pair lookup.  Hit/miss
-    counts are the [learnq.twig.contain_cache_hits]/[_misses] counters. *)
+    per-domain table of 65536 entries, cleared wholesale when full, keyed
+    on hash-consed filter ids ({!Hcons}) — the quadratic loop of
+    [Lgg.prune_maximal] re-tests the same edge pairs throughout a session,
+    so repeats cost one int-pair lookup.  Hit/miss counts are the
+    [learnq.twig.contain_cache_hits]/[_misses] counters. *)
 
 val filter_subsumed_uncached :
   Query.axis * Query.filter -> Query.axis * Query.filter -> bool
-(** The direct homomorphism check {!filter_subsumed} memoizes — exposed for
-    the cache-equivalence property test and the ablation benchmark. *)
-
-val set_filter_cache : ?enabled:bool -> ?capacity:int -> unit -> unit
-(** Configure the containment memo: [enabled] (default [true]) switches the
-    cache off for ablation; [capacity] (default 65536 entries, clamped to
-    [>= 16]) bounds the table, which is cleared wholesale when full. *)
+(** The direct homomorphism check {!filter_subsumed} memoizes — the
+    reference for the [contain-cache] fuzz oracle and the cache-equivalence
+    property test. *)
 
 val canonical_instances :
   ?max_variants:int -> Query.t -> (Xmltree.Tree.t * Xmltree.Tree.path) list

@@ -168,24 +168,17 @@ let select_ids_walk doc (q : Query.t) =
       !ids
 
 (* ------------------------------------------------------------------ *)
-(* The index-backed fast path                                          *)
+(* Index-backed evaluation                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* [Xmlstore.Twigjoin] evaluates the same semantics with structural
    joins over the store's containment labels and inverted name lists —
    O(touched posting lists) per query instead of the walk's
    O(|q|·|t|·depth) with its per-call memo matrix.  Both produce
-   ascending preorder ids, so swapping evaluators is invisible to every
-   caller (including journaled interactive sessions, which stay
-   byte-identical).  The walk remains as the differential reference and
-   as the [--no-xmlstore] ablation. *)
-
-let use_xmlstore = ref true
-let set_xmlstore on = use_xmlstore := on
-let xmlstore_enabled () = !use_xmlstore
+   ascending preorder ids.  Every evaluation joins; the walk above is the
+   differential reference, reached by name through [select_walk]. *)
 
 let m_join_evals = Core.Telemetry.Metrics.counter "learnq.twig.join_evals"
-let m_walk_evals = Core.Telemetry.Metrics.counter "learnq.twig.walk_evals"
 
 let to_pattern (q : Query.t) : Xmlstore.Pattern.t =
   let conv_test = function
@@ -232,15 +225,9 @@ let store_of_doc doc =
       s
 
 let select_ids doc (q : Query.t) =
-  if q = [] then invalid_arg "Eval.select: empty query"
-  else if !use_xmlstore then begin
-    Core.Telemetry.Metrics.incr m_join_evals;
-    Xmlstore.Twigjoin.select_ids (store_of_doc doc) (to_pattern q)
-  end
-  else begin
-    Core.Telemetry.Metrics.incr m_walk_evals;
-    select_ids_walk doc q
-  end
+  if q = [] then invalid_arg "Eval.select: empty query";
+  Core.Telemetry.Metrics.incr m_join_evals;
+  Xmlstore.Twigjoin.select_ids (store_of_doc doc) (to_pattern q)
 
 let select_doc doc q = List.map (fun id -> doc.paths.(id)) (select_ids doc q)
 let select q tree = select_doc (index tree) q

@@ -6,10 +6,11 @@
     satisfied by any node), child edges to parent–child edges and descendant
     edges to proper ancestor–descendant pairs.
 
-    The evaluation is the standard bottom-up dynamic program: documents are
-    indexed once (preorder numbering with descendant intervals) and filter
-    embeddings are memoized per (filter node, document node), giving
-    O(|q| · |t| · depth(t)) time. *)
+    {!select} runs as structural joins over a labeled store (below).  The
+    reference {!select_walk} is the standard bottom-up dynamic program:
+    documents are indexed once (preorder numbering with descendant
+    intervals) and filter embeddings are memoized per (filter node,
+    document node), giving O(|q| · |t| · depth(t)) time. *)
 
 type doc
 (** A document indexed for repeated query evaluation. *)
@@ -23,21 +24,13 @@ val select_doc : doc -> Query.t -> Xmltree.Tree.path list
 
 val select : Query.t -> Xmltree.Tree.t -> Xmltree.Tree.path list
 
-(** {1 Index-backed fast path}
+(** {1 Index-backed evaluation}
 
-    By default evaluation runs on {!Xmlstore}: documents are labeled once
+    Evaluation runs on {!Xmlstore}: documents are labeled once
     (containment intervals + inverted name lists) and queries run as
     structural joins ({!Xmlstore.Twigjoin}).  The bottom-up tree walk
-    remains available as the differential reference and the
-    [--no-xmlstore] ablation; both return identical answers in identical
-    (preorder) order, so interactive sessions behave byte-identically
-    either way. *)
-
-val set_xmlstore : bool -> unit
-(** Toggle the index-backed fast path (default [true]).  Process-global
-    ablation switch, CLI [--no-xmlstore]. *)
-
-val xmlstore_enabled : unit -> bool
+    remains as the differential reference, {!select_walk}; both return
+    identical answers in identical (preorder) order. *)
 
 val to_pattern : Query.t -> Xmlstore.Pattern.t
 (** Lower a query to the store pattern shape. *)
@@ -46,8 +39,8 @@ val store_of_doc : doc -> Xmlstore.Store.t
 (** The labeled store of an indexed document, built on first use. *)
 
 val select_walk : Query.t -> Xmltree.Tree.t -> Xmltree.Tree.path list
-(** Always the tree-walk evaluator, regardless of {!set_xmlstore} — the
-    reference implementation differential tests compare against. *)
+(** The tree-walk evaluator — the reference implementation differential
+    tests and [bench pr9] compare the joins against. *)
 
 val selects : Query.t -> Xmltree.Tree.t -> Xmltree.Tree.path -> bool
 (** Membership of one node in the answer. *)

@@ -1,13 +1,5 @@
 type item = Xmltree.Annotated.t
 
-(* Ablation switch (bench pr4, property tests): [true] restores the
-   PR 3-era batch path that refolds the whole positive set per answer and
-   per probe.  Read once at [Session.init], so a session never mixes
-   modes. *)
-let batch_lgg = ref false
-let set_batch_lgg b = batch_lgg := b
-let batch_lgg_enabled () = !batch_lgg
-
 (* Fault-injection switch for the fuzzing harness: [false] skips the probe
    memo's recheck of negatives recorded after an entry was cached, i.e. the
    exact staleness bug the memo's survived-count bookkeeping prevents. *)
@@ -24,7 +16,6 @@ module Session = struct
     neg_count : int;  (** [List.length neg], for the probe memo *)
     acc : Positive.Incremental.acc;  (** running raw LGG of [pos] *)
     lgg : Twig.Query.t option;  (** minimized anchored candidate *)
-    batch : bool;  (** ablation: refold [pos] instead of extending [acc] *)
   }
 
   let init _items =
@@ -34,23 +25,14 @@ module Session = struct
       neg_count = 0;
       acc = Positive.Incremental.empty;
       lgg = None;
-      batch = !batch_lgg;
     }
 
-  (* [st.pos] is newest-first; the LGG fold must run in arrival order in
-     BOTH modes — [Lgg.lgg] is a heuristic alignment, not associative, so
-     folding newest-first can produce a genuinely different (even
-     differently-selecting) candidate than the incremental accumulator,
-     and the two modes would then ask different question sequences. *)
   let record st item label =
     if label then
-      let pos = item :: st.pos in
-      if st.batch then
-        { st with pos; lgg = Positive.learn_positive (List.rev pos) }
-      else
-        Core.Telemetry.with_span "twig.lgg.inc" @@ fun () ->
-        let acc = Positive.Incremental.add st.acc item in
-        { st with pos; acc; lgg = Positive.Incremental.candidate acc }
+      Core.Telemetry.with_span "twig.lgg.inc" @@ fun () ->
+      let acc = Positive.Incremental.add st.acc item in
+      let lgg = Positive.Incremental.candidate acc in
+      { st with pos = item :: st.pos; acc; lgg }
     else { st with neg = item :: st.neg; neg_count = st.neg_count + 1 }
 
   let candidate st = st.lgg
@@ -65,10 +47,22 @@ module Session = struct
      negatives never reopen an item.  The memo is invalidated wholesale
      when the accumulator's physical identity moves, and is domain-local
      ({!Core.Pool} workers warm their own), so verdicts — hence question
-     sequences — are unchanged at every pool size. *)
+     sequences — are unchanged at every pool size.
+
+     Sessions on one document share the memo: the characteristic memo
+     hands them physically equal accumulators for equal positives.  The
+     extension is pure in (accumulator, item), so [Leaves] and the raw
+     query are shared.  A verdict counts one session's negatives, so it is
+     tagged with that session's [pos] list — a fresh cons cell per session
+     once it has a positive — and another session re-derives it. *)
+  type verdict =
+    | Closed  (** a negative of the owning session is selected *)
+    | Survived of int  (** negatives of the owning session checked *)
+
   type probe_entry =
-    | Closed  (** determined negative at the current accumulator *)
-    | Open of Twig.Query.t * int  (** raw extension, negatives survived *)
+    | Leaves  (** the extension leaves the anchored fragment *)
+    | Extends of Twig.Query.t * item list * verdict
+        (** raw extension; the owning session's [pos] (phys-eq) *)
 
   type probe_memo = {
     mutable pm_acc : Twig.Query.t option;  (* phys-eq key *)
@@ -100,18 +94,21 @@ module Session = struct
         let target = (item : item).target in
         let cached = Hashtbl.find_opt memo.pm_tbl target in
         match cached with
-        | Some Closed -> Some false
+        | Some Leaves -> Some false
+        | Some (Extends (_, owner, Closed)) when owner == st.pos -> Some false
         | _ -> (
             let raw_opt, survived =
               match cached with
-              | Some (Open (raw, k)) -> (Some raw, k)
+              | Some (Extends (raw, owner, Survived k)) when owner == st.pos ->
+                  (Some raw, k)
+              | Some (Extends (raw, _, _)) -> (Some raw, 0)
               | _ -> (Positive.Incremental.extend_consistent st.acc item, 0)
             in
             match raw_opt with
             | None ->
                 (* Generalizing onto this item leaves the anchored fragment:
-                   final for this accumulator. *)
-                Hashtbl.replace memo.pm_tbl target Closed;
+                   final for this accumulator, whichever session probes. *)
+                Hashtbl.replace memo.pm_tbl target Leaves;
                 Some false
             | Some raw ->
                 (* [st.neg] is newest-first: the first [neg_count - survived]
@@ -122,31 +119,21 @@ module Session = struct
                   else if survived = 0 then st.neg_count
                   else 0
                 in
-                if selects_any_prefix raw st.neg ~count:recheck_count
-                then begin
-                  Hashtbl.replace memo.pm_tbl target Closed;
-                  Some false
-                end
-                else begin
-                  Hashtbl.replace memo.pm_tbl target (Open (raw, st.neg_count));
-                  None
-                end))
+                let closed =
+                  selects_any_prefix raw st.neg ~count:recheck_count
+                in
+                Hashtbl.replace memo.pm_tbl target
+                  (Extends
+                     ( raw,
+                       st.pos,
+                       if closed then Closed else Survived st.neg_count ));
+                if closed then Some false else None))
 
   let determined st item =
     match st.lgg with
     | None -> None
     | Some q ->
         if Twig.Eval.selects_example q item then Some true
-        else if st.batch then begin
-          (* Would taking it positive contradict a recorded negative or leave
-             the anchored fragment?  Arrival-order fold, like [record]. *)
-          match Positive.learn_positive (List.rev st.pos @ [ item ]) with
-          | None -> Some false
-          | Some q' ->
-              if List.exists (fun n -> Twig.Eval.selects_example q' n) st.neg
-              then Some false
-              else None
-        end
         else determined_incremental st item
 
   let pp_item = Xmltree.Annotated.pp
@@ -154,6 +141,55 @@ module Session = struct
 end
 
 module Loop = Core.Interact.Make (Session)
+
+(* The reference session: refold the whole positive set through
+   [Positive.learn_positive] on every answer and every probe — the
+   pre-incremental path, with no probe memo.  [st.pos] is newest-first and
+   the fold runs in arrival order, as the accumulator does: [Lgg.lgg] is a
+   heuristic alignment, not associative, so folding newest-first could
+   learn a differently-selecting candidate and ask other questions. *)
+module Batch = struct
+  module Session = struct
+    type query = Twig.Query.t
+    type nonrec item = item
+
+    type state = {
+      pos : item list;
+      neg : item list;
+      lgg : Twig.Query.t option;
+    }
+
+    let init _items = { pos = []; neg = []; lgg = None }
+
+    let record st item label =
+      if label then
+        let pos = item :: st.pos in
+        { st with pos; lgg = Positive.learn_positive (List.rev pos) }
+      else { st with neg = item :: st.neg }
+
+    let candidate st = st.lgg
+
+    (* Would taking [item] positive contradict a recorded negative or leave
+       the anchored fragment? *)
+    let determined st item =
+      match st.lgg with
+      | None -> None
+      | Some q -> (
+          if Twig.Eval.selects_example q item then Some true
+          else
+            match Positive.learn_positive (List.rev (item :: st.pos)) with
+            | None -> Some false
+            | Some q' ->
+                if List.exists (Twig.Eval.selects_example q') st.neg then
+                  Some false
+                else None)
+
+    let pp_item = Xmltree.Annotated.pp
+    let pp_query = Twig.Query.pp
+  end
+
+  module Loop = Core.Interact.Make (Session)
+end
 
 let m_items = Core.Telemetry.Metrics.counter "learnq.twiglearn.items"
 
@@ -220,32 +256,23 @@ let decode_item ~doc s =
 
 (* Checkpoint codec: the accumulator is a deterministic fold of the labeled
    nodes, so the snapshot is the labels themselves — positives and negatives
-   as node paths, each side in arrival order — plus the session's ablation
-   mode.  Decoding refolds [Session.record] (positives first, then
-   negatives; the two sides never read each other during a fold, so
-   de-interleaving is sound), which rebuilds [acc]/[lgg] exactly as the live
-   session did instead of trying to serialize an LGG accumulator. *)
+   as node paths, each side in arrival order.  Decoding refolds
+   [Session.record] (positives first, then negatives; the two sides never
+   read each other during a fold, so de-interleaving is sound), which
+   rebuilds [acc]/[lgg] exactly as the live session did instead of trying
+   to serialize an LGG accumulator.  A [twig1 batch] header, written by
+   sessions of the retired batch mode, refolds the same way: both modes ask
+   the same questions ([interact-batch] fuzz oracle). *)
 let encode_state (st : Session.state) =
   let line label it = (if label then "+" else "-") ^ encode_item it in
   String.concat "\n"
-    ((if st.Session.batch then "twig1 batch" else "twig1")
+    ("twig1"
     :: List.rev_map (line true) st.Session.pos
     @ List.rev_map (line false) st.Session.neg)
 
 let decode_state ~doc s =
   match String.split_on_char '\n' s with
   | header :: lines when header = "twig1" || header = "twig1 batch" -> (
-      let batch = header = "twig1 batch" in
-      let base =
-        {
-          Session.pos = [];
-          neg = [];
-          neg_count = 0;
-          acc = Positive.Incremental.empty;
-          lgg = None;
-          batch;
-        }
-      in
       let parse line =
         if String.length line < 2 then Error (Printf.sprintf "bad line %S" line)
         else
@@ -272,7 +299,7 @@ let decode_state ~doc s =
       in
       (* Positives precede negatives in the encoding, so a plain
          left-to-right refold replays each side in arrival order. *)
-      refold base lines)
+      refold (Session.init []) lines)
   | _ -> Error "not a twig state snapshot"
 
 let run_with_goal ?rng ?strategy ?budget ?profile ?retry ~doc ~goal () =

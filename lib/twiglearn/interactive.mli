@@ -17,16 +17,6 @@
 
 type item = Xmltree.Annotated.t
 
-val set_batch_lgg : bool -> unit
-(** Ablation switch (default [false]): [true] makes subsequently created
-    sessions refold the whole positive set through
-    {!Positive.learn_positive} on every answer and every determined-probe —
-    the pre-incremental behavior, kept for benchmarking
-    ([bench pr4]) and for the incremental-equivalence property tests.  Read
-    once per session at [Session.init]. *)
-
-val batch_lgg_enabled : unit -> bool
-
 val set_probe_recheck : bool -> unit
 (** Fault-injection switch (default [true]).  [false] disables the probe
     memo's negative-prefix recheck: a memoized open item is then never
@@ -38,8 +28,22 @@ val set_probe_recheck : bool -> unit
 
 module Session :
   Core.Interact.SESSION with type query = Twig.Query.t and type item = item
+(** The session: an incremental LGG accumulator ({!Positive.Incremental})
+    and a per-domain probe memo shared by the sessions of one document. *)
 
 module Loop : module type of Core.Interact.Make (Session)
+
+(** The reference session: every answer and every determined-probe
+    refolds the whole positive set through {!Positive.learn_positive}, with
+    no probe memo — the pre-incremental path.  It asks the same questions
+    as {!Session} (the [interact-batch] fuzz oracle); [bench pr4] times
+    {!Loop} against it. *)
+module Batch : sig
+  module Session :
+    Core.Interact.SESSION with type query = Twig.Query.t and type item = item
+
+  module Loop : module type of Core.Interact.Make (Session)
+end
 
 val items_of_doc : Xmltree.Tree.t -> item list
 (** Every node of the document as a labelable item (preorder). *)
@@ -60,16 +64,17 @@ val decode_item : doc:Xmltree.Tree.t -> string -> item option
     node — the journal belongs to a different document. *)
 
 val encode_state : Session.state -> string
-(** Checkpoint codec: the labeled node paths (each polarity in arrival
-    order) plus the session's ablation mode — the accumulator itself is
-    redundant, being a deterministic fold of them. *)
+(** Checkpoint codec: a [twig1] header and the labeled node paths (each
+    polarity in arrival order) — the accumulator itself is redundant,
+    being a deterministic fold of them. *)
 
 val decode_state :
   doc:Xmltree.Tree.t -> string -> (Session.state, string) result
 (** Inverse of {!encode_state} over [doc]: refolds the recorded labels
-    through [Session.record], rebuilding the exact live accumulator.
-    [Error] when a path addresses no node of [doc] or the snapshot is
-    malformed. *)
+    through [Session.record], rebuilding the exact live accumulator.  Also
+    reads the [twig1 batch] snapshots of the retired batch mode, refolded
+    the same way.  [Error] when a path addresses no node of [doc] or the
+    snapshot is malformed. *)
 
 val run_with_goal :
   ?rng:Core.Prng.t ->

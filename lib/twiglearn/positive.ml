@@ -36,14 +36,7 @@ let char_memo_capacity = 1 lsl 16
 let char_dls : char_memo Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { cm_doc = None; cm_tbl = Hashtbl.create 512 })
 
-(* Ablation (bench pr4): with the memo off, [characteristic] rebuilds the
-   query from the document every call — the PR 3 behavior. *)
-let char_cache_on = ref true
-let set_char_cache b = char_cache_on := b
-
 let characteristic (a : instance) =
-  if not !char_cache_on then Twig.Query.of_example a.doc a.target
-  else
   let memo = Domain.DLS.get char_dls in
   let same_doc = match memo.cm_doc with Some d -> d == a.doc | None -> false in
   if not same_doc then begin

@@ -20,11 +20,6 @@ val characteristic : instance -> Twig.Query.t
     share one document (recognized by physical equality).  Cache traffic is
     counted by [learnq.twiglearn.char_cache_hits]/[_misses]. *)
 
-val set_char_cache : bool -> unit
-(** Ablation switch (default [true]): [false] disables the characteristic
-    memo so every call rebuilds the query — the pre-PR 4 behavior, for
-    [bench pr4] baselines. *)
-
 val learn_positive : instance list -> Twig.Query.t option
 (** [None] on the empty list or when the generalization leaves the anchored
     fragment (e.g. examples whose annotated nodes have different labels). *)

@@ -144,7 +144,8 @@ let test_runner_budget () =
    identical whatever [jobs] is. *)
 let test_runner_jobs_deterministic () =
   let oracles =
-    [ find "roundtrip-twig"; find "roundtrip-csv"; find "xmlstore-eval" ]
+    [ find "roundtrip-twig"; find "roundtrip-csv"; find "xmlstore-eval";
+      find "interact-batch" ]
   in
   let run jobs = Fuzz.Runner.run ~oracles ~jobs ~iters:25 ~seed:11 () in
   let r1 = run 1 in

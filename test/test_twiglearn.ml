@@ -598,6 +598,53 @@ let prop_extend_consistent_equiv =
       in
       go I.empty witnesses)
 
+(* Sessions on one document object share the per-domain probe memo, and
+   the characteristic memo gives them physically equal accumulators for
+   equal positives.  A [//a] session run after a [//c/a[a]] session on the
+   same document must still learn what it learns on its own copy: a
+   verdict derived from the first session's negatives must not close an
+   item for the second. *)
+let test_probe_memo_isolates_sessions () =
+  let term = "b(c(c(c),a(a),d),a(c,b,d,b),a(d),c(d(c,d,b)))" in
+  let learn doc goal =
+    let goal = Twig.Parse.query goal in
+    let o = Twiglearn.Interactive.run_with_goal ~doc ~goal () in
+    ( o.Twiglearn.Interactive.Loop.questions,
+      Option.map Twig.Query.to_string o.Twiglearn.Interactive.Loop.query )
+  in
+  let shared = Xmltree.Parse.term term in
+  ignore (learn shared "//c/a[a]");
+  let after = learn shared "//a" in
+  let alone = learn (Xmltree.Parse.term term) "//a" in
+  Alcotest.(check (pair int (option string)))
+    "same session after another on the shared document" alone after;
+  Alcotest.(check (option string)) "learned alone" (Some "/b[a/d][c/d]//a")
+    (snd alone)
+
+(* Checkpoints always write [twig1]; a [twig1 batch] snapshot, written by
+   sessions of the retired batch mode, still decodes and refolds into the
+   same incremental state. *)
+let test_decode_batch_snapshot () =
+  let module TI = Twiglearn.Interactive in
+  let doc = Benchkit.Xmark.generate ~scale:0.3 ~seed:5 () in
+  let goal = Twig.Parse.query "//person/name" in
+  let o = TI.run_with_goal ~doc ~goal () in
+  let snap = TI.encode_state o.TI.Loop.state in
+  let header, body =
+    match String.index_opt snap '\n' with
+    | Some i -> (String.sub snap 0 i, String.sub snap i (String.length snap - i))
+    | None -> (snap, "")
+  in
+  Alcotest.(check string) "header" "twig1" header;
+  Alcotest.(check bool) "labels recorded" true (body <> "");
+  match TI.decode_state ~doc ("twig1 batch" ^ body) with
+  | Error e -> Alcotest.fail e
+  | Ok st ->
+      Alcotest.(check string) "re-encodes as twig1" snap (TI.encode_state st);
+      Alcotest.(check (option string)) "same candidate"
+        (Option.map Twig.Query.to_string o.TI.Loop.query)
+        (Option.map Twig.Query.to_string (TI.Session.candidate st))
+
 (* The pool merge is input-order deterministic: the same session asks the
    same questions in the same order and writes byte-identical journals at
    every pool size. *)
@@ -718,5 +765,9 @@ let () =
           qcheck prop_extend_consistent_equiv;
           Alcotest.test_case "parallel scan deterministic" `Quick
             test_parallel_scan_deterministic;
+          Alcotest.test_case "probe memo isolates sessions" `Quick
+            test_probe_memo_isolates_sessions;
+          Alcotest.test_case "decodes a twig1 batch snapshot" `Quick
+            test_decode_batch_snapshot;
         ] );
     ]
