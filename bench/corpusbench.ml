@@ -24,15 +24,6 @@ module TI = Twiglearn.Interactive
 module Store = Xmlstore.Store
 module Twigjoin = Xmlstore.Twigjoin
 
-let time f =
-  let t0 = Core.Monotonic.now () in
-  let x = f () in
-  (x, Core.Monotonic.now () -. t0)
-
-let median xs =
-  let a = List.sort compare xs in
-  List.nth a (List.length a / 2)
-
 let env_float name default =
   match Option.bind (Sys.getenv_opt name) float_of_string_opt with
   | Some v when v > 0. -> v
@@ -162,8 +153,12 @@ let phase_a () =
   (* Warm both paths (builds and caches the labeled store), then time. *)
   run_indexed ();
   run_walk ();
-  let idx_s = median (List.init reps (fun _ -> snd (time run_indexed))) in
-  let walk_s = median (List.init reps (fun _ -> snd (time run_walk))) in
+  let idx_s =
+    Util.median (List.init reps (fun _ -> snd (Util.time run_indexed)))
+  in
+  let walk_s =
+    Util.median (List.init reps (fun _ -> snd (Util.time run_walk)))
+  in
   (* Transcript equality against the recorded tree-walk session. *)
   let sdoc = Benchkit.Xmark.generate ~scale:session_scale ~seed:1 () in
   let r_idx = run_session ~doc:sdoc ~goal () in
@@ -255,14 +250,14 @@ let profile_b () =
   let dir = "pr9-profile-b" in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   for rep = 1 to 3 do
-    let store, t_label = time (fun () -> Store.of_tree tree) in
+    let store, t_label = Util.time (fun () -> Store.of_tree tree) in
     let path = Filename.concat dir (Printf.sprintf "r%d.lqx" rep) in
-    let (), t_save = time (fun () -> Store.save ~fsync:true store path) in
+    let (), t_save = Util.time (fun () -> Store.save ~fsync:true store path) in
     let _, t_valid =
-      time (fun () -> Uschema.Schema.valid Benchkit.Xmark.schema tree)
+      Util.time (fun () -> Uschema.Schema.valid Benchkit.Xmark.schema tree)
     in
     let _, t_eval =
-      time (fun () ->
+      Util.time (fun () ->
           for _ = 1 to 10 do
             List.iter
               (fun pat -> ignore (Twigjoin.select_array store pat))
@@ -317,12 +312,12 @@ let phase_b () =
   let v2 = go2 () in
   let times1 = ref [] and times2 = ref [] in
   for _ = 1 to reps do
-    times1 := snd (time go1) :: !times1;
-    times2 := snd (time go2) :: !times2
+    times1 := snd (Util.time go1) :: !times1;
+    times2 := snd (Util.time go2) :: !times2
   done;
   Core.Pool.shutdown pool1;
   Core.Pool.shutdown pool2;
-  let t1 = median !times1 and t2 = median !times2 in
+  let t1 = Util.median !times1 and t2 = Util.median !times2 in
   (* Persistence really round-trips: reload shard 0 from disk and re-run
      the query set on the reloaded store. *)
   let reload_matches =
@@ -357,7 +352,7 @@ let profile () =
   let goal = Twig.Parse.query "//person[profile/education]/name" in
   T.reset ();
   T.set_mode T.Full;
-  let _, dt = time (run_session ~doc ~goal) in
+  let _, dt = Util.time (run_session ~doc ~goal) in
   T.set_mode T.Ring;
   Printf.printf "pr9-profile: session %.1f ms\n" (dt *. 1e3);
   List.iteri
@@ -381,7 +376,7 @@ let profile () =
       (fun (mode, select) ->
         ignore (select ());
         let _, dt =
-          time (fun () ->
+          Util.time (fun () ->
               for _ = 1 to 100 do
                 ignore (select ())
               done)

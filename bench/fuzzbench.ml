@@ -11,18 +11,13 @@
 let iters = 60
 let seed = 42
 
-let time f =
-  let t0 = Core.Monotonic.now () in
-  let x = f () in
-  (x, Core.Monotonic.now () -. t0)
-
 let run () =
   let rows =
     List.map
       (fun oracle ->
         let name = Fuzz.Oracle.name oracle in
         let report, elapsed =
-          time (fun () ->
+          Util.time (fun () ->
               Fuzz.Runner.run ~oracles:[ oracle ] ~iters ~seed ())
         in
         let stats = List.hd report.Fuzz.Runner.stats in

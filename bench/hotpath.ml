@@ -21,17 +21,8 @@
 module T = Core.Telemetry
 module TI = Twiglearn.Interactive
 
-let time f =
-  let t0 = Core.Monotonic.now () in
-  let x = f () in
-  (x, Core.Monotonic.now () -. t0)
-
 let reps = 5
 let warmup = 2
-
-let median xs =
-  let a = List.sort compare xs in
-  List.nth a (List.length a / 2)
 
 (* ------------------------------------------------------------------ *)
 (* Workload: the BENCH_PR3 learn-twig session                          *)
@@ -96,9 +87,9 @@ let measure workload c =
     questions := run ()
   done;
   let median_s =
-    median
+    Util.median
       (List.init reps (fun _ ->
-           let q, dt = time run in
+           let q, dt = Util.time run in
            questions := q;
            dt))
   in

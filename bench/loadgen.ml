@@ -1,92 +1,62 @@
-(* Deterministic open-loop load generator for `learnq serve`.
+(* The one load driver for `learnq serve`, shared by pr6 (chaos), pr8
+   (observability soak) and pr10 (sustained load): the mixed
+   twig/join/path session population, the HTTP session loop, and the
+   time-series sampler.  The benches differ only in the constants they
+   pass.
 
-   Arrivals are scheduled, not reactive: a seeded exponential process
-   (rate = sessions / duration) fixes every session's start time up
-   front, and a scheduler thread releases sessions at those instants
-   regardless of how fast earlier ones complete.  A slow server
-   therefore sees work *pile up* — exactly the regime a closed-loop
-   driver (start the next session when the last finishes) can never
-   produce, and the one that exposes queueing collapse.
+   Every session's simulated user is [Server.Engines.user]: its reply to
+   a question is a pure function of the question, so a session driven
+   twice, or resumed after a SIGKILL, labels the same items the same way
+   and converges to the same query.
 
-   A fixed pool of worker threads drives the released sessions over
-   keep-alive connections (one [Server.Client] per worker, reused across
-   sessions — the reconnect-once-on-stale logic in the client absorbs
-   idle eviction).  A sampler thread emits a time series: completions/sec
-   over the interval, the sliding-window p50/p99 that /metrics exposes
-   (read in-process via [Core.Telemetry.Labeled], keeping the scrape off the
-   measured path), and connection/thread gauges scraped from /stats over
-   the wire.
+   Arrivals are scheduled, not reactive: the caller fixes every session's
+   start time up front, and a scheduler thread releases sessions at those
+   instants regardless of how fast earlier ones complete.  pr10 passes a seeded
+   exponential schedule, so a slow server sees work pile up, the regime
+   that exposes queueing collapse and that a closed-loop driver can never
+   produce.  pr6 and pr8 release every session at t=0, which makes the
+   worker pool a closed loop.
 
-   Everything is seeded; two runs with the same config schedule the same
-   arrival times and answer every question identically. *)
+   A fixed pool of worker threads takes released sessions in order and
+   drives each over the worker's keep-alive connection (one
+   [Server.Client] per worker, reused across sessions).  A transport error
+   reconnects to whatever port [port ()] reports, so a worker finds a
+   daemon restarted on a new port.  A session that cannot be finished (an
+   unexpected status, or retries exhausted) is counted as failed, never
+   raised, so the bench always ends and its gate reads false.
+
+   A sampler thread emits a time series: completions/sec over the
+   interval, the sliding-window p50/p99 that /metrics exposes (read
+   in-process via [Core.Telemetry.Labeled], keeping the scrape off the
+   measured path; empty when the daemon is another process), and
+   connection/thread gauges scraped from /stats over the wire. *)
 
 module Engines = Server.Engines
 module Client = Server.Client
 module Json = Server.Json
-module Prng = Core.Prng
 
 let now = Core.Monotonic.now
 
-type config = {
-  lg_host : string;
-  lg_port : int;
-  lg_tenant : string;
-  lg_seed : int;
-  lg_sessions : int;  (** total arrivals *)
-  lg_duration : float;  (** arrival window, seconds *)
-  lg_workers : int;  (** keep-alive client threads *)
-  lg_sample_every : float;  (** seconds between time-series samples *)
-}
-
-type sample = {
-  sm_t : float;  (** seconds since the run started *)
-  sm_done : int;  (** sessions completed so far *)
-  sm_rate : float;  (** completions/sec over the last interval *)
-  sm_p50_ms : float;  (** sliding-window p50 request latency *)
-  sm_p99_ms : float;  (** sliding-window p99 request latency *)
-  sm_conns : int;  (** /stats: open connections *)
-  sm_parked : int;  (** /stats: parked keep-alive connections *)
-  sm_io_busy : int;  (** /stats: workers executing a request *)
-  sm_threads : int;  (** /stats: mux thread budget (io_threads + 1) *)
-}
-
-type result = {
-  r_elapsed : float;
-  r_completed : int;
-  r_failed : int;
-  r_answers : int;
-  r_p50_ms : float;  (** over every answer round trip in the run *)
-  r_p99_ms : float;
-  r_lag_max_ms : float;
-      (** worst lateness of a session pickup vs its scheduled arrival —
-          large values mean the worker pool, not the server, was the
-          bottleneck and the run was not truly open-loop *)
-  r_samples : sample list;
-}
-
-(* permille fault rates — light, enough to keep the refusal/timeout
-   paths warm without dominating the wall clock *)
-let refusal = 30
-let timeout = 15
-let noise = 20
+(* ------------------------------------------------------------------ *)
+(* Population                                                          *)
+(* ------------------------------------------------------------------ *)
 
 type sess = {
   id : string;
+  tenant : string;
   spec : Engines.spec;
-  truth : string -> bool;
+  reply : string -> Core.Flaky.reply;  (** the simulated user *)
 }
 
-let sessions cfg =
-  List.init cfg.lg_sessions (fun i ->
+(* [n] sessions cycling twig/join/path on small instances, session [i]
+   seeded [seed + i], named [id i] and owned by [tenant i]; the fault
+   rates are permille, as in [Engines.user]. *)
+let population ~n ~seed ~id ~tenant ?(refusal = 0) ?(timeout = 0)
+    ?(noise = 0) () =
+  List.init n (fun i ->
       let engine = [| "twig"; "join"; "path" |].(i mod 3) in
       let spec =
-        {
-          Engines.engine;
-          seed = cfg.lg_seed + i;
-          scale = 0.03;
-          rows = 5;
-          cities = 6;
-        }
+        { Engines.engine; seed = seed + i; scale = 0.03; rows = 5; cities = 6 }
       in
       let goal =
         match engine with
@@ -99,75 +69,129 @@ let sessions cfg =
         | Ok f -> f
         | Error e -> failwith ("loadgen: bad goal: " ^ Core.Error.to_string e)
       in
-      { id = Printf.sprintf "g%05d" i; spec; truth })
-
-(* Same question, same reply — deterministic up to thread interleaving. *)
-let reply_for s key =
-  let g = Prng.create (s.spec.Engines.seed lxor Hashtbl.hash key) in
-  let roll = Prng.int g 1000 in
-  if roll < refusal then Core.Flaky.Refused
-  else if roll < refusal + timeout then Core.Flaky.Timed_out
-  else
-    let label = s.truth key in
-    Core.Flaky.Label (if Prng.int g 1000 < noise then not label else label)
-
-let json_of_reply = function
-  | Core.Flaky.Label b -> Json.Bool b
-  | Core.Flaky.Refused -> Json.Str "refused"
-  | Core.Flaky.Timed_out -> Json.Str "timed_out"
-
-let wire_view j =
-  ( Option.value ~default:false (Json.get_bool "done" j),
-    Option.value ~default:0 (Json.get_int "qid" j),
-    Json.mem "question" j |> Fun.flip Option.bind Json.str )
+      {
+        id = id i;
+        tenant = tenant i;
+        spec;
+        reply = Engines.user spec ~truth ~refusal ~timeout ~noise;
+      })
 
 (* ------------------------------------------------------------------ *)
-(* Worker: drive one session over a shared keep-alive connection       *)
+(* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
+
+type config = {
+  host : string;
+  port : unit -> int;
+      (** read at every (re)connect; 0 while the daemon is down *)
+  workers : int;  (** keep-alive client threads *)
+  sample_every : float;  (** seconds between time-series samples *)
+}
+
+type sample = {
+  sm_t : float;  (** seconds since the run started *)
+  sm_done : int;  (** sessions finished so far *)
+  sm_rate : float;  (** completions/sec over the last interval *)
+  sm_p50_ms : float;  (** sliding-window p50 request latency *)
+  sm_p99_ms : float;  (** sliding-window p99 request latency *)
+  sm_conns : int;  (** /stats: open connections *)
+  sm_parked : int;  (** /stats: parked keep-alive connections *)
+  sm_io_busy : int;  (** /stats: workers executing a request *)
+  sm_threads : int;  (** /stats: mux thread budget (io_threads + 1) *)
+}
+
+type result = {
+  r_elapsed : float;
+      (** from the start until the sampler saw the last session finish, so
+          up to one sample period late *)
+  r_completed : int;
+  r_failed : int;
+  r_answers : int;
+  r_p50_ms : float;  (** over every answer round trip in the run *)
+  r_p99_ms : float;
+  r_lag_max_ms : float;
+      (** worst lateness of a session pickup vs its scheduled arrival —
+          large values mean the worker pool, not the server, was the
+          bottleneck and the run was not truly open-loop *)
+  r_samples : sample list;
+  r_queries : (string * string option) list;
+      (** session id -> final query, for every completed session *)
+}
 
 type shared = {
   cfg : config;
   completed : int Atomic.t;
   failed : int Atomic.t;
   answers : int Atomic.t;
-  lat_m : Mutex.t;
+  on_answer : int -> unit;
+  m : Mutex.t;
   mutable lats : float list;  (** per-answer round trips, seconds *)
+  mutable lag_max : float;
+  mutable queries : (string * string option) list;
 }
 
-let record_lat sh dt =
-  Mutex.lock sh.lat_m;
-  sh.lats <- dt :: sh.lats;
-  Mutex.unlock sh.lat_m
+let json_of_reply = function
+  | Core.Flaky.Label b -> Json.Bool b
+  | Core.Flaky.Refused -> Json.Str "refused"
+  | Core.Flaky.Timed_out -> Json.Str "timed_out"
 
-(* Each worker owns one connection for its whole lifetime; [conn] is a
-   cell so a transport error can swap in a fresh one. *)
-let rec fresh_conn cfg =
-  match Client.connect ~host:cfg.lg_host ~port:cfg.lg_port with
-  | Ok c -> c
-  | Error _ ->
-      Thread.delay 0.05;
-      fresh_conn cfg
-
+(* Drive one session to its end over the worker's connection [conn],
+   which is opened on first use and reopened to the current port after a
+   transport error.  Creates and views are then sent again.  An answer is
+   not: a daemon restarted from a journal that lost its last records may
+   pose a different question under the same qid, so the session goes on
+   from a fresh view, and likewise after a 409 (a stale qid).  Refusals
+   (503/429), failed connects and transport errors share one retry bound
+   per request, and fresh views one bound per session. *)
 let drive sh conn s =
-  let cfg = sh.cfg in
-  let req ?body meth path =
+  let req ?(resend = true) ?body meth path =
     let rec go tries =
-      match
-        Client.request !conn ~meth ~path ~tenant:cfg.lg_tenant ?body ()
-      with
+      if Option.is_none !conn then
+        conn :=
+          Result.to_option
+            (Client.connect ~host:sh.cfg.host ~port:(sh.cfg.port ()));
+      let r =
+        match !conn with
+        | Some c -> Client.request c ~meth ~path ~tenant:s.tenant ?body ()
+        | None -> Error "cannot connect"
+      in
+      match r with
       | Ok ((503 | 429), _) when tries > 0 ->
           Thread.delay 0.05;
           go (tries - 1)
       | Error _ when tries > 0 ->
-          Client.close !conn;
-          conn := fresh_conn cfg;
+          Option.iter Client.close !conn;
+          conn := None;
           Thread.delay 0.05;
-          go (tries - 1)
+          if resend then go (tries - 1) else r
       | r -> r
     in
     go 100
   in
-  let create () =
+  let path = "/v1/sessions/" ^ s.id in
+  let rec step views j =
+    match Json.get_str "question" j with
+    | Some key when Json.get_bool "done" j <> Some true -> (
+        let qid = Option.value ~default:0 (Json.get_int "qid" j) in
+        let t0 = now () in
+        let reply = json_of_reply (s.reply key) in
+        match
+          req ~resend:false "POST" (path ^ "/answers")
+            ~body:(Json.Obj [ ("qid", Json.of_int qid); ("reply", reply) ])
+        with
+        | Ok (200, j) ->
+            let dt = now () -. t0 in
+            Mutex.protect sh.m (fun () -> sh.lats <- dt :: sh.lats);
+            sh.on_answer (1 + Atomic.fetch_and_add sh.answers 1);
+            step views j
+        | (Ok (409, _) | Error _) when views > 0 -> (
+            match req "GET" path with
+            | Ok (200, j) -> step (views - 1) j
+            | _ -> None)
+        | _ -> None)
+    | _ -> Some (Json.get_str "query" j)
+  in
+  let created =
     req "POST" "/v1/sessions"
       ~body:
         (Json.Obj
@@ -176,197 +200,140 @@ let drive sh conn s =
               | Json.Obj fields -> fields
               | _ -> [])))
   in
-  let refresh () = req "GET" ("/v1/sessions/" ^ s.id) in
-  let rec step (done_, qid, question) =
-    if done_ then true
-    else
-      match question with
-      | None -> true
-      | Some key -> (
-          let t0 = now () in
-          match
-            req "POST"
-              ("/v1/sessions/" ^ s.id ^ "/answers")
-              ~body:
-                (Json.Obj
-                   [
-                     ("qid", Json.of_int qid);
-                     ("reply", json_of_reply (reply_for s key));
-                   ])
-          with
-          | Ok (200, j) ->
-              record_lat sh (now () -. t0);
-              Atomic.incr sh.answers;
-              step (wire_view j)
-          | Ok (409, _) -> (
-              match refresh () with
-              | Ok (200, j) -> step (wire_view j)
-              | _ -> false)
-          | _ -> false)
-  in
-  let ok =
-    match create () with Ok (200, j) -> step (wire_view j) | _ -> false
-  in
-  if ok then Atomic.incr sh.completed else Atomic.incr sh.failed
-
-(* ------------------------------------------------------------------ *)
-(* Open-loop arrival queue                                             *)
-(* ------------------------------------------------------------------ *)
-
-type 'a queue = {
-  q : 'a Queue.t;
-  m : Mutex.t;
-  cv : Condition.t;
-  mutable q_closed : bool;
-}
-
-let queue () =
-  { q = Queue.create (); m = Mutex.create (); cv = Condition.create (); q_closed = false }
-
-let push qu x =
-  Mutex.lock qu.m;
-  Queue.push x qu.q;
-  Condition.signal qu.cv;
-  Mutex.unlock qu.m
-
-let close_queue qu =
-  Mutex.lock qu.m;
-  qu.q_closed <- true;
-  Condition.broadcast qu.cv;
-  Mutex.unlock qu.m
-
-let pop qu =
-  Mutex.lock qu.m;
-  let rec go () =
-    if not (Queue.is_empty qu.q) then Some (Queue.pop qu.q)
-    else if qu.q_closed then None
-    else begin
-      Condition.wait qu.cv qu.m;
-      go ()
-    end
-  in
-  let r = go () in
-  Mutex.unlock qu.m;
-  r
+  match created with
+  | Ok (200, j) -> (
+      match step 100 j with
+      | Some q ->
+          Mutex.protect sh.m (fun () -> sh.queries <- (s.id, q) :: sh.queries);
+          Atomic.incr sh.completed
+      | None -> Atomic.incr sh.failed)
+  | _ -> Atomic.incr sh.failed
 
 (* ------------------------------------------------------------------ *)
 (* Sampler                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let window_ms cfg p =
-  Core.Telemetry.Labeled.window_percentile "learnq_request_seconds"
-    [ ("tenant", cfg.lg_tenant) ]
-    p
-  *. 1e3
-
 let scrape_stats cfg stats_conn =
-  let get () =
+  let get c =
+    match Client.request c ~meth:"GET" ~path:"/stats" () with
+    | Ok (200, j) -> Some j
+    | _ -> None
+  in
+  let stats =
     match !stats_conn with
-    | Some c -> (
-        match Client.request c ~meth:"GET" ~path:"/stats" () with
-        | Ok (200, j) -> Some j
-        | _ ->
-            Client.close c;
-            stats_conn := None;
-            None)
+    | Some c ->
+        let r = get c in
+        if r = None then begin
+          Client.close c;
+          stats_conn := None
+        end;
+        r
     | None -> (
-        match Client.connect ~host:cfg.lg_host ~port:cfg.lg_port with
+        match Client.connect ~host:cfg.host ~port:(cfg.port ()) with
         | Ok c ->
             stats_conn := Some c;
-            (match Client.request c ~meth:"GET" ~path:"/stats" () with
-            | Ok (200, j) -> Some j
-            | _ -> None)
+            get c
         | Error _ -> None)
   in
-  match get () with
-  | None -> (0, 0, 0, 0)
-  | Some j ->
-      let f k = Option.value ~default:0 (Json.get_int k j) in
-      (f "connections", f "parked", f "io_busy", f "threads")
+  let f k =
+    Option.value ~default:0 (Option.bind stats (Json.get_int k))
+  in
+  (f "connections", f "parked", f "io_busy", f "threads")
 
 (* ------------------------------------------------------------------ *)
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-
-let run cfg =
+(* Drives every [(arrival, session)] of [schedule] (arrivals in seconds
+   from the start, ascending); [on_answer n] runs on the worker after the
+   run's [n]th accepted answer. *)
+let run ?(on_answer = ignore) cfg schedule =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let sess = Array.of_list (sessions cfg) in
+  let schedule = Array.of_list schedule in
+  let total = Array.length schedule in
   let sh =
     {
       cfg;
       completed = Atomic.make 0;
       failed = Atomic.make 0;
       answers = Atomic.make 0;
-      lat_m = Mutex.create ();
+      on_answer;
+      m = Mutex.create ();
       lats = [];
+      lag_max = 0.0;
+      queries = [];
     }
   in
-  (* Fix the whole arrival schedule up front from the seed: cumulative
-     exponential gaps at rate sessions/duration. *)
-  let g = Prng.create cfg.lg_seed in
-  let rate = float_of_int cfg.lg_sessions /. cfg.lg_duration in
-  let arrivals =
-    let t = ref 0.0 in
-    Array.init cfg.lg_sessions (fun _ ->
-        let u = min (Prng.float g 1.0) 0.999_999 in
-        t := !t +. (-.log (1.0 -. u) /. rate);
-        !t)
-  in
-  let qu = queue () in
-  let lag_max = ref 0.0 in
-  let lag_m = Mutex.create () in
+  let finished () = Atomic.get sh.completed + Atomic.get sh.failed in
   let t0 = now () in
+  (* A scheduler thread releases each session into a FIFO at its arrival
+     time, whether or not earlier ones are done; free workers take from
+     it. *)
+  let q = Queue.create () and q_m = Mutex.create () in
+  let q_cv = Condition.create () and all_released = ref false in
   let scheduler =
     Thread.create
       (fun () ->
-        Array.iteri
-          (fun i at ->
+        Array.iter
+          (fun ((at, _) as x) ->
             let d = at -. (now () -. t0) in
             if d > 0.0 then Thread.delay d;
-            push qu (i, at))
-          arrivals;
-        close_queue qu)
+            Mutex.protect q_m (fun () ->
+                Queue.push x q;
+                Condition.signal q_cv))
+          schedule;
+        Mutex.protect q_m (fun () ->
+            all_released := true;
+            Condition.broadcast q_cv))
       ()
   in
+  let take () =
+    Mutex.protect q_m (fun () ->
+        while Queue.is_empty q && not !all_released do
+          Condition.wait q_cv q_m
+        done;
+        Queue.take_opt q)
+  in
   let workers =
-    List.init (max 1 cfg.lg_workers) (fun _ ->
+    List.init (max 1 cfg.workers) (fun _ ->
         Thread.create
           (fun () ->
-            let conn = ref (fresh_conn cfg) in
+            let conn = ref None in
             let rec go () =
-              match pop qu with
-              | None -> Client.close !conn
-              | Some (i, at) ->
+              match take () with
+              | None -> Option.iter Client.close !conn
+              | Some (at, s) ->
                   let lag = now () -. t0 -. at in
-                  Mutex.lock lag_m;
-                  if lag > !lag_max then lag_max := lag;
-                  Mutex.unlock lag_m;
-                  drive sh conn sess.(i);
+                  Mutex.protect sh.m (fun () ->
+                      if lag > sh.lag_max then sh.lag_max <- lag);
+                  (* An exception would end this thread with its session
+                     uncounted and the run waiting for it forever. *)
+                  (try drive sh conn s
+                   with e ->
+                     Printf.eprintf "loadgen: session %s: %s\n%!" s.id
+                       (Printexc.to_string e);
+                     Atomic.incr sh.failed);
                   go ()
             in
             go ())
           ())
   in
   (* Time series: runs until every session is accounted for. *)
+  let tenant = if total = 0 then "" else (snd schedule.(0)).tenant in
+  let window_ms p =
+    Core.Telemetry.Labeled.window_percentile "learnq_request_seconds"
+      [ ("tenant", tenant) ]
+      p
+    *. 1e3
+  in
   let samples = ref [] in
-  let stats_conn = ref None in
   let sampler =
     Thread.create
       (fun () ->
-        let prev_done = ref 0 and prev_t = ref (now ()) in
-        let rec tick () =
-          let d = Atomic.get sh.completed + Atomic.get sh.failed in
-          if d < cfg.lg_sessions then begin
-            Thread.delay cfg.lg_sample_every;
-            let t = now () in
-            let d = Atomic.get sh.completed + Atomic.get sh.failed in
-            let rate = float_of_int (d - !prev_done) /. (t -. !prev_t) in
-            prev_done := d;
-            prev_t := t;
+        let stats_conn = ref None in
+        let rec tick prev_done prev_t =
+          if finished () < total then begin
+            Thread.delay cfg.sample_every;
+            let t = now () and d = finished () in
             let conns, parked, io_busy, threads =
               scrape_stats cfg stats_conn
             in
@@ -374,40 +341,38 @@ let run cfg =
               {
                 sm_t = t -. t0;
                 sm_done = d;
-                sm_rate = rate;
-                sm_p50_ms = window_ms cfg 0.50;
-                sm_p99_ms = window_ms cfg 0.99;
+                sm_rate = float_of_int (d - prev_done) /. (t -. prev_t);
+                sm_p50_ms = window_ms 0.50;
+                sm_p99_ms = window_ms 0.99;
                 sm_conns = conns;
                 sm_parked = parked;
                 sm_io_busy = io_busy;
                 sm_threads = threads;
               }
               :: !samples;
-            tick ()
+            tick d t
           end
         in
-        tick ())
+        tick 0 t0;
+        Option.iter Client.close !stats_conn)
       ()
   in
   Thread.join scheduler;
   List.iter Thread.join workers;
   Thread.join sampler;
-  (match !stats_conn with Some c -> Client.close c | None -> ());
   let elapsed = now () -. t0 in
-  let lats =
-    let a = Array.of_list (List.map (fun s -> s *. 1000.) sh.lats) in
-    Array.sort compare a;
-    a
-  in
+  let lats = Array.of_list (List.map (fun s -> s *. 1000.) sh.lats) in
+  Array.sort compare lats;
   {
     r_elapsed = elapsed;
     r_completed = Atomic.get sh.completed;
     r_failed = Atomic.get sh.failed;
     r_answers = Atomic.get sh.answers;
-    r_p50_ms = percentile lats 0.50;
-    r_p99_ms = percentile lats 0.99;
-    r_lag_max_ms = !lag_max *. 1000.;
+    r_p50_ms = Util.percentile lats 0.50;
+    r_p99_ms = Util.percentile lats 0.99;
+    r_lag_max_ms = sh.lag_max *. 1000.;
     r_samples = List.rev !samples;
+    r_queries = sh.queries;
   }
 
 let samples_json samples =

@@ -17,11 +17,6 @@
 
 module T = Core.Telemetry
 
-let time f =
-  let t0 = Core.Monotonic.now () in
-  let x = f () in
-  (x, Core.Monotonic.now () -. t0)
-
 let reps = 5
 
 (* Untimed runs before each timed block.  One warm run proved not to be
@@ -29,10 +24,6 @@ let reps = 5
    because the disabled block, measured first, was still paying allocator
    and minor-heap warmup that the enabled block then inherited for free. *)
 let warmup = 2
-
-let median xs =
-  let a = List.sort compare xs in
-  List.nth a (List.length a / 2)
 
 (* ------------------------------------------------------------------ *)
 (* The disabled fast path, in isolation                                *)
@@ -43,7 +34,7 @@ let disabled_incr_ns () =
   let c = T.Metrics.counter "bench.overhead.disabled" in
   let n = 20_000_000 in
   let (), dt =
-    time (fun () ->
+    Util.time (fun () ->
         for _ = 1 to n do
           T.Metrics.incr c
         done)
@@ -54,7 +45,7 @@ let disabled_span_ns () =
   T.set_mode T.Ring;
   let n = 5_000_000 in
   let (), dt =
-    time (fun () ->
+    Util.time (fun () ->
         for _ = 1 to n do
           T.with_span "bench.overhead.span" ignore
         done)
@@ -68,7 +59,7 @@ let shadow_ns () =
   let r = ref 0 in
   let n = 50_000_000 in
   let (), dt =
-    time (fun () ->
+    Util.time (fun () ->
         for _ = 1 to n do
           incr r
         done)
@@ -184,9 +175,9 @@ let measure ~incr_ns ~span_ns ~sh_ns (name, run) =
     ignore (run ())
   done;
   let disabled_s =
-    median
+    Util.median
       (List.init reps (fun _ ->
-           let _, dt = time run in
+           let _, dt = Util.time run in
            dt))
   in
   (* Enabled: reset between reps so each run records the same session; the
@@ -198,11 +189,11 @@ let measure ~incr_ns ~span_ns ~sh_ns (name, run) =
     ignore (run ())
   done;
   let enabled_s =
-    median
+    Util.median
       (List.init reps (fun _ ->
            T.reset ();
            T.set_mode T.Full;
-           let q, dt = time run in
+           let q, dt = Util.time run in
            questions := q;
            dt))
   in

@@ -3,11 +3,6 @@
    wall-clock for each interactive engine.  Results go to BENCH_PR2.json —
    machine-readable, for the CI artifact. *)
 
-let time f =
-  let t0 = Core.Monotonic.now () in
-  let x = f () in
-  (x, Core.Monotonic.now () -. t0)
-
 let temp () = Filename.temp_file "learnq_bench" ".wal"
 
 let with_temp f =
@@ -51,12 +46,15 @@ type journal_times = {
 let journal_times () =
   with_temp (fun p_sync ->
       with_temp (fun p_nosync ->
-          let (), record_sync = time (fun () -> record ~sync:Core.Journal.Always p_sync) in
+          let (), record_sync =
+            Util.time (fun () -> record ~sync:Core.Journal.Always p_sync)
+          in
           let (), record_nosync =
-            time (fun () -> record ~sync:Core.Journal.Off p_nosync)
+            Util.time (fun () -> record ~sync:Core.Journal.Off p_nosync)
           in
           let r, replay =
-            time (fun () -> recovered_exn (Core.Journal.recover ~path:p_sync))
+            Util.time (fun () ->
+                recovered_exn (Core.Journal.recover ~path:p_sync))
           in
           assert (List.length (Core.Journal.answered r) = answers);
           { record_sync; record_nosync; replay }))
@@ -77,18 +75,18 @@ type engine_times = {
    fresh deterministic rngs so the sessions are identical. *)
 let measure_engine name encode decode decode_state run =
   with_temp (fun path ->
-      let live_outcome, live = time (fun () -> run None None) in
+      let live_outcome, live = Util.time (fun () -> run None None) in
       let j =
         Core.Journal.create ~path
           { Core.Journal.seed = 1; engine = name; config = "bench" }
       in
       let journaled_outcome, journaled =
-        time (fun () -> run (Some (j, encode)) None)
+        Util.time (fun () -> run (Some (j, encode)) None)
       in
       Core.Journal.close j;
       let r = recovered_exn (Core.Journal.recover ~path) in
       let resumed_outcome, resumed =
-        time (fun () -> run None (Some (r.events, decode, decode_state)))
+        Util.time (fun () -> run None (Some (r.events, decode, decode_state)))
       in
       ignore journaled_outcome;
       if resumed_outcome <> live_outcome then

@@ -1,19 +1,21 @@
 (* Chaos + throughput bench for `learnq serve` (PR 6).
 
    Phase A — process-level chaos: spawn the real daemon, drive 50 mixed
-   twig/join/path sessions over HTTP from client threads whose faults
-   (refusals, timeouts, label noise) are a pure function of the question,
-   SIGKILL the daemon at ~40% progress, restart it on the same state
-   directory, and finish every session.  Gates: zero sessions lost, and
+   twig/join/path sessions over HTTP through the shared load driver
+   ({!Loadgen}), whose simulated users' faults (refusals, timeouts, label
+   noise) are a pure function of the question, SIGKILL the daemon at ~40%
+   progress, restart it on the same state directory, and finish every
+   session.  Gates: the daemon was killed mid-run, zero sessions lost,
    every session converges to the query an uninterrupted in-process run
-   learns.  Sessions/sec and per-answer p50/p99 latency are recorded.
+   learns, and SIGTERM drains cleanly.  Sessions/sec and per-answer
+   p50/p99 latency are recorded.
 
-   Phase B — the multicore redemption gate: 24 fsync-heavy twig sessions
+   Phase B — the multicore redemption gate: 24 fsync-heavy path sessions
    (sync=Always) driven in registry batches, pool=1 vs pool=2.  Even on
    one core pool=2 must win: a session blocked in fsync releases the
    runtime lock while another session's determined-scan computes.
 
-   Results land in BENCH_PR6.json; the serve-smoke CI lane greps its
+   Results land in BENCH_PR6.json; the serve-smoke CI lane checks its
    gates. *)
 
 module Engines = Server.Engines
@@ -21,7 +23,6 @@ module Registry = Server.Registry
 module Stepper = Server.Stepper
 module Client = Server.Client
 module Json = Server.Json
-module Prng = Core.Prng
 
 let sessions_n = 50
 let threads_n = 8
@@ -31,87 +32,11 @@ let pool_scale _ = 0.02
 let pool_stride = 8 (* answers per session per pool round *)
 let pool_trials = 3 (* best-of-N, damping disk-latency variance *)
 
-(* permille fault rates for phase A *)
-let refusal = 120
-let timeout = 60
-let noise = 50
-
 let now = Core.Monotonic.now
-
-(* ------------------------------------------------------------------ *)
-(* Workload                                                            *)
-(* ------------------------------------------------------------------ *)
-
-type sess = {
-  id : string;
-  tenant : string;
-  spec : Engines.spec;
-  goal : string;
-  truth : string -> bool;
-}
-
-let sessions () =
-  List.init sessions_n (fun i ->
-      let engine = [| "twig"; "join"; "path" |].(i mod 3) in
-      let spec =
-        {
-          Engines.engine;
-          seed = 1000 + i;
-          scale = 0.03;
-          rows = 5;
-          cities = 6;
-        }
-      in
-      let goal =
-        match engine with
-        | "twig" -> "//person/name"
-        | "join" -> "planted"
-        | _ -> "highway*"
-      in
-      let truth =
-        match Engines.oracle spec ~goal with
-        | Ok f -> f
-        | Error e ->
-            failwith ("serve bench: bad goal: " ^ Core.Error.to_string e)
-      in
-      {
-        id = Printf.sprintf "s%02d" i;
-        tenant = Printf.sprintf "t%d" (i mod 4);
-        spec;
-        goal;
-        truth;
-      })
-
-(* The deterministic client: the same question always draws the same
-   refusal / timeout / (possibly noise-flipped) label, so re-asking after
-   a crash repeats history exactly. *)
-let reply_for s key =
-  let g = Prng.create (s.spec.Engines.seed lxor Hashtbl.hash key) in
-  let roll = Prng.int g 1000 in
-  if roll < refusal then Core.Flaky.Refused
-  else if roll < refusal + timeout then Core.Flaky.Timed_out
-  else
-    let label = s.truth key in
-    Core.Flaky.Label (if Prng.int g 1000 < noise then not label else label)
 
 (* ------------------------------------------------------------------ *)
 (* In-process reference runs (and phase B)                             *)
 (* ------------------------------------------------------------------ *)
-
-let with_temp_dir prefix f =
-  let path = Filename.temp_file prefix ".d" in
-  Sys.remove path;
-  Unix.mkdir path 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      (try
-         Array.iter
-           (fun e ->
-             try Sys.remove (Filename.concat path e) with Sys_error _ -> ())
-           (Sys.readdir path)
-       with Sys_error _ -> ());
-      try Unix.rmdir path with Unix.Unix_error _ -> ())
-    (fun () -> f path)
 
 let registry ?(vfs = Core.Vfs.real) ?(checkpoint_every = 0) ?(max_live = 0)
     ~dir ~sync () =
@@ -148,13 +73,13 @@ let drive_stepper st reply =
    crash-equivalence gate, and the expected-answers count that places the
    kill point. *)
 let reference_runs sess =
-  with_temp_dir "learnq-serve-ref" (fun dir ->
+  Util.with_temp_dir "learnq-serve-ref" (fun dir ->
       let reg = registry ~dir ~sync:Core.Journal.Off () in
       Fun.protect
         ~finally:(fun () -> Registry.drain reg)
         (fun () ->
           List.map
-            (fun s ->
+            (fun (s : Loadgen.sess) ->
               match
                 Registry.create_session reg ~tenant:s.tenant ~id:s.id s.spec
               with
@@ -164,7 +89,7 @@ let reference_runs sess =
                   match Registry.find reg ~tenant:s.tenant ~id:s.id with
                   | None -> failwith "serve bench: session vanished"
                   | Some st ->
-                      let answers, query = drive_stepper st (reply_for s) in
+                      let answers, query = drive_stepper st s.reply in
                       (s, answers, query)))
             sess))
 
@@ -212,156 +137,6 @@ let spawn_daemon ~bin ~dir =
   in
   (pid, port, ic)
 
-type shared = {
-  port : int Atomic.t;  (** 0 while the daemon is down *)
-  answers : int Atomic.t;
-  lat_m : Mutex.t;
-  mutable lats : float list;  (** per-answer round trips, seconds *)
-  results_m : Mutex.t;
-  results : (string, string option) Hashtbl.t;  (** id -> final query *)
-}
-
-let record_lat sh dt =
-  Mutex.lock sh.lat_m;
-  sh.lats <- dt :: sh.lats;
-  Mutex.unlock sh.lat_m
-
-let record_result sh id q =
-  Mutex.lock sh.results_m;
-  Hashtbl.replace sh.results id q;
-  Mutex.unlock sh.results_m
-
-let rec await_port sh =
-  match Atomic.get sh.port with
-  | 0 ->
-      Thread.delay 0.05;
-      await_port sh
-  | p -> p
-
-type wire_view = {
-  w_done : bool;
-  w_qid : int;
-  w_question : string option;
-  w_query : string option;
-}
-
-let wire_view j =
-  {
-    w_done = Option.value ~default:false (Json.get_bool "done" j);
-    w_qid = Option.value ~default:0 (Json.get_int "qid" j);
-    w_question = Json.mem "question" j |> Fun.flip Option.bind Json.str;
-    w_query = Json.mem "query" j |> Fun.flip Option.bind Json.str;
-  }
-
-let json_of_reply = function
-  | Core.Flaky.Label b -> Json.Bool b
-  | Core.Flaky.Refused -> Json.Str "refused"
-  | Core.Flaky.Timed_out -> Json.Str "timed_out"
-
-(* Drive one session over HTTP to completion, surviving daemon death: any
-   transport error reconnects (waiting out the restart) and re-creates the
-   session, which resumes it from its journal. *)
-let drive_http sh s =
-  let rec connect () =
-    let port = await_port sh in
-    match Client.connect ~host:"127.0.0.1" ~port with
-    | Ok c -> c
-    | Error _ ->
-        Thread.delay 0.05;
-        connect ()
-  in
-  let create conn =
-    Client.request conn ~meth:"POST" ~path:"/v1/sessions" ~tenant:s.tenant
-      ~body:
-        (Json.Obj
-           (("id", Json.Str s.id)
-           :: (match Engines.json_of_spec s.spec with
-              | Json.Obj fields -> fields
-              | _ -> [])))
-      ()
-  in
-  let rec restart old =
-    Client.close old;
-    let conn = connect () in
-    match create conn with
-    | Ok (200, j) -> (conn, wire_view j)
-    | Ok (503, _) | Ok (429, _) ->
-        Thread.delay 0.1;
-        restart conn
-    | Ok (code, j) ->
-        failwith
-          (Printf.sprintf "serve bench: create %s -> %d %s" s.id code
-             (Json.to_string j))
-    | Error _ ->
-        Thread.delay 0.1;
-        restart conn
-  in
-  let refresh conn =
-    match
-      Client.request conn ~meth:"GET" ~path:("/v1/sessions/" ^ s.id)
-        ~tenant:s.tenant ()
-    with
-    | Ok (200, j) -> (conn, wire_view j)
-    | Ok _ ->
-        Thread.delay 0.1;
-        restart conn
-    | Error _ -> restart conn
-  in
-  let rec step conn v =
-    if v.w_done then begin
-      record_result sh s.id v.w_query;
-      Client.close conn
-    end
-    else
-      match v.w_question with
-      | None ->
-          record_result sh s.id v.w_query;
-          Client.close conn
-      | Some key -> (
-          let reply = reply_for s key in
-          let t0 = now () in
-          match
-            Client.request conn ~meth:"POST"
-              ~path:("/v1/sessions/" ^ s.id ^ "/answers")
-              ~tenant:s.tenant
-              ~body:
-                (Json.Obj
-                   [
-                     ("qid", Json.of_int v.w_qid);
-                     ("reply", json_of_reply reply);
-                   ])
-              ()
-          with
-          | Ok (200, j) ->
-              record_lat sh (now () -. t0);
-              Atomic.incr sh.answers;
-              step conn (wire_view j)
-          | Ok (409, _) ->
-              (* the question moved on (e.g. a duplicate after restart):
-                 refetch and continue *)
-              let conn, v = refresh conn in
-              step conn v
-          | Ok ((503 | 429), _) ->
-              Thread.delay 0.1;
-              let conn, v = refresh conn in
-              step conn v
-          | Ok (code, j) ->
-              failwith
-                (Printf.sprintf "serve bench: answer %s -> %d %s" s.id code
-                   (Json.to_string j))
-          | Error _ ->
-              let conn, v = restart conn in
-              step conn v)
-  in
-  let conn = connect () in
-  let conn, v = restart conn in
-  step conn v
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-
 type phase_a = {
   a_elapsed : float;
   a_sessions_per_sec : float;
@@ -375,68 +150,51 @@ type phase_a = {
 
 let run_phase_a sess refs state_dir =
   let bin = cli_bin () in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   let expected_answers =
     List.fold_left (fun n (_, a, _) -> n + a) 0 refs
   in
   let kill_at =
     max 1 (int_of_float (kill_fraction *. float_of_int expected_answers))
   in
-  let sh =
-    {
-      port = Atomic.make 0;
-      answers = Atomic.make 0;
-      lat_m = Mutex.create ();
-      lats = [];
-      results_m = Mutex.create ();
-      results = Hashtbl.create 64;
-    }
-  in
+  let port = Atomic.make 0 in
   let pid0, port0, ic0 = spawn_daemon ~bin ~dir:state_dir in
-  Atomic.set sh.port port0;
-  let t0 = now () in
-  let workers =
-    List.init threads_n (fun w ->
-        let mine =
-          List.filteri (fun i _ -> i mod threads_n = w) sess
-        in
-        Thread.create (fun () -> List.iter (drive_http sh) mine) ())
-  in
+  Atomic.set port port0;
+  let live = ref (Some (pid0, ic0)) in
   (* The assassin: SIGKILL at ~40% of expected progress, then restart on
-     the same state directory. *)
+     the same state directory.  Workers meeting the dead daemon reconnect
+     to the new port once it is published; if the restart fails, their
+     sessions fail and so do the gates. *)
   let killed = ref false in
-  let live_pid = ref pid0 and live_ic = ref ic0 in
-  let rec monitor () =
-    let doneness =
-      Mutex.lock sh.results_m;
-      let n = Hashtbl.length sh.results in
-      Mutex.unlock sh.results_m;
-      n
-    in
-    if doneness >= sessions_n then ()
-    else begin
-      if (not !killed) && Atomic.get sh.answers >= kill_at then begin
-        killed := true;
-        Atomic.set sh.port 0;
-        Unix.kill !live_pid Sys.sigkill;
-        ignore (Unix.waitpid [] !live_pid);
-        close_in_noerr !live_ic;
-        let pid, port, ic = spawn_daemon ~bin ~dir:state_dir in
-        live_pid := pid;
-        live_ic := ic;
-        Atomic.set sh.port port
-      end;
-      Thread.delay 0.02;
-      monitor ()
+  let on_answer n =
+    if n = kill_at then begin
+      killed := true;
+      Atomic.set port 0;
+      Option.iter
+        (fun (pid, ic) ->
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          close_in_noerr ic)
+        !live;
+      live := None;
+      let pid, p, ic = spawn_daemon ~bin ~dir:state_dir in
+      live := Some (pid, ic);
+      Atomic.set port p
     end
   in
-  monitor ();
-  List.iter Thread.join workers;
-  let elapsed = now () -. t0 in
+  let r =
+    Loadgen.run ~on_answer
+      {
+        Loadgen.host = "127.0.0.1";
+        port = (fun () -> Atomic.get port);
+        workers = threads_n;
+        (* the run's elapsed time is read at a sample, so sample often *)
+        sample_every = 0.05;
+      }
+      (List.map (fun s -> (0.0, s)) sess)
+  in
   (* Zero-lost gate: the restarted daemon must still hold every session. *)
   let stats_sessions =
-    match Client.connect ~host:"127.0.0.1" ~port:(await_port sh) with
+    match Client.connect ~host:"127.0.0.1" ~port:(Atomic.get port) with
     | Error _ -> -1
     | Ok c ->
         Fun.protect
@@ -447,28 +205,26 @@ let run_phase_a sess refs state_dir =
             | _ -> -1)
   in
   (* Graceful drain: SIGTERM must exit 0 with journals flushed. *)
-  Unix.kill !live_pid Sys.sigterm;
-  let _, status = Unix.waitpid [] !live_pid in
-  close_in_noerr !live_ic;
-  let drain_clean = status = Unix.WEXITED 0 in
+  let drain_clean =
+    match !live with
+    | None -> false
+    | Some (pid, ic) ->
+        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+        let _, status = Unix.waitpid [] pid in
+        close_in_noerr ic;
+        status = Unix.WEXITED 0
+  in
   let all_match =
     List.for_all
-      (fun (s, _, ref_q) ->
-        match Hashtbl.find_opt sh.results s.id with
-        | Some q -> q = ref_q
-        | None -> false)
+      (fun ((s : Loadgen.sess), _, ref_q) ->
+        List.assoc_opt s.id r.Loadgen.r_queries = Some ref_q)
       refs
   in
-  let lats =
-    let a = Array.of_list (List.map (fun s -> s *. 1000.) sh.lats) in
-    Array.sort compare a;
-    a
-  in
   {
-    a_elapsed = elapsed;
-    a_sessions_per_sec = float_of_int sessions_n /. elapsed;
-    a_p50_ms = percentile lats 0.50;
-    a_p99_ms = percentile lats 0.99;
+    a_elapsed = r.Loadgen.r_elapsed;
+    a_sessions_per_sec = float_of_int sessions_n /. r.Loadgen.r_elapsed;
+    a_p50_ms = r.Loadgen.r_p50_ms;
+    a_p99_ms = r.Loadgen.r_p99_ms;
     a_killed = !killed;
     a_zero_lost = stats_sessions = sessions_n;
     a_match = all_match;
@@ -485,7 +241,7 @@ let run_phase_a sess refs state_dir =
    session's fsync wait overlaps another's determined-scan, which is the
    whole multicore story on a single core. *)
 let run_pool_phase ~pool_size =
-  with_temp_dir "learnq-serve-pool" (fun dir ->
+  Util.with_temp_dir "learnq-serve-pool" (fun dir ->
       let reg = registry ~dir ~sync:Core.Journal.Always () in
       let steppers =
         List.init pool_sessions (fun i ->
@@ -558,24 +314,25 @@ let run_pool_phase ~pool_size =
 
 let run () =
   print_endline "== learnq serve: chaos + throughput (PR 6) ==";
-  let sess = sessions () in
+  let sess =
+    Loadgen.population ~n:sessions_n ~seed:1000 ~id:(Printf.sprintf "s%02d")
+      ~tenant:(fun i -> Printf.sprintf "t%d" (i mod 4))
+      ~refusal:120 ~timeout:60 ~noise:50 ()
+  in
   let refs = reference_runs sess in
   let expected = List.fold_left (fun n (_, a, _) -> n + a) 0 refs in
   Printf.printf "reference: %d sessions, %d total answers\n%!" sessions_n
     expected;
-  let state_dir =
+  (* CI points this at a workspace path so the journals can be uploaded
+     when a gate fails; locally a temp dir is used. *)
+  let a =
     match Sys.getenv_opt "LEARNQ_SERVE_STATE" with
     | Some d ->
         (try Unix.mkdir d 0o755
          with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        d
-    | None ->
-        let d = Filename.temp_file "learnq-serve-chaos" ".d" in
-        Sys.remove d;
-        Unix.mkdir d 0o700;
-        d
+        run_phase_a sess refs d
+    | None -> Util.with_temp_dir "learnq-serve-chaos" (run_phase_a sess refs)
   in
-  let a = run_phase_a sess refs state_dir in
   Printf.printf
     "phase A: %.1f s, %.1f sessions/s, p50 %.2f ms, p99 %.2f ms\n\
     \         killed=%b zero_lost=%b match=%b drain_clean=%b\n%!"

@@ -43,21 +43,6 @@ let soak_sessions_n =
 (* Plumbing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let with_temp_dir prefix f =
-  let path = Filename.temp_file prefix ".d" in
-  Sys.remove path;
-  Unix.mkdir path 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      (try
-         Array.iter
-           (fun e ->
-             try Sys.remove (Filename.concat path e) with Sys_error _ -> ())
-           (Sys.readdir path)
-       with Sys_error _ -> ());
-      try Unix.rmdir path with Unix.Unix_error _ -> ())
-    (fun () -> f path)
-
 let registry ?(vfs = Core.Vfs.real) ?(checkpoint_every = 0) ?(max_live = 0)
     ~dir ~sync () =
   Registry.create
@@ -88,7 +73,7 @@ let truth_of spec goal =
    storage faults (the view is re-read each round, so a retry always
    answers the current question).  Returns replies delivered and the
    final query. *)
-let drive_client ?(stop_after = max_int) ?(fault_budget = 0) faults st client =
+let drive ?(stop_after = max_int) ?(fault_budget = 0) faults st client =
   let rec go n budget =
     let v = st.Stepper.view () in
     if v.Stepper.done_ || n >= stop_after then (n, v.Stepper.query)
@@ -106,10 +91,6 @@ let drive_client ?(stop_after = max_int) ?(fault_budget = 0) faults st client =
   in
   go 0 fault_budget
 
-let drive ?stop_after ?fault_budget faults st truth =
-  drive_client ?stop_after ?fault_budget faults st (fun key ->
-      Core.Flaky.Label (truth key))
-
 let journal_path dir =
   match
     Array.to_list (Sys.readdir dir)
@@ -120,11 +101,6 @@ let journal_path dir =
       failwith
         (Printf.sprintf "storage bench: expected one journal, found %d"
            (List.length l))
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
 
 (* ------------------------------------------------------------------ *)
 (* Part A: compaction ratio and resume-from-checkpoint speedup         *)
@@ -167,7 +143,7 @@ let build_long_session ~dir spec truth =
   for _ = 1 to refusal_cycles do
     let st = Option.get (Registry.find !reg ~tenant:"bench" ~id:"long") in
     let n, _ =
-      drive_client ~stop_after:refusals_per_cycle (ref 0) st (fun _ ->
+      drive ~stop_after:refusals_per_cycle (ref 0) st (fun _ ->
           Core.Flaky.Refused)
     in
     delivered := !delivered + n;
@@ -176,7 +152,7 @@ let build_long_session ~dir spec truth =
   done;
   (* A patient labeler finally finishes the session. *)
   let st = Option.get (Registry.find !reg ~tenant:"bench" ~id:"long") in
-  let n, _ = drive (ref 0) st truth in
+  let n, _ = drive (ref 0) st (fun key -> Core.Flaky.Label (truth key)) in
   delivered := !delivered + n;
   Registry.drain !reg;
   !delivered
@@ -216,7 +192,7 @@ let run_part_a () =
     { Engines.engine = "path"; seed = 9; scale = 0.1; rows = 5; cities = 16 }
   in
   let truth = truth_of spec "highway*" in
-  with_temp_dir "learnq-pr7-ck" (fun dir ->
+  Util.with_temp_dir "learnq-pr7-ck" (fun dir ->
       let sync = Core.Journal.Off in
       let answers = build_long_session ~dir spec truth in
       if answers < long_min_answers then
@@ -255,35 +231,15 @@ let run_part_a () =
 (* Part B: evicted-session resume latency                              *)
 (* ------------------------------------------------------------------ *)
 
-type sess = {
-  id : string;
-  spec : Engines.spec;
-  truth : string -> bool;
-  mutable ref_query : string option;
-}
-
+(* The serve benches' mixed population, labeled by a user who never
+   refuses, times out or errs. *)
 let mixed_sessions n =
-  List.init n (fun i ->
-      let engine = [| "twig"; "join"; "path" |].(i mod 3) in
-      let spec =
-        { Engines.engine; seed = 3000 + i; scale = 0.03; rows = 5; cities = 6 }
-      in
-      let goal =
-        match engine with
-        | "twig" -> "//person/name"
-        | "join" -> "planted"
-        | _ -> "highway*"
-      in
-      {
-        id = Printf.sprintf "s%03d" i;
-        spec;
-        truth = truth_of spec goal;
-        ref_query = None;
-      })
+  Loadgen.population ~n ~seed:3000 ~id:(Printf.sprintf "s%03d")
+    ~tenant:(fun _ -> "bench") ()
 
 let run_part_b () =
   let sess = mixed_sessions evict_sessions_n in
-  with_temp_dir "learnq-pr7-evict" (fun dir ->
+  Util.with_temp_dir "learnq-pr7-evict" (fun dir ->
       let reg =
         registry ~checkpoint_every:4 ~max_live:evict_window ~dir
           ~sync:Core.Journal.Always ()
@@ -292,24 +248,24 @@ let run_part_b () =
         ~finally:(fun () -> Registry.drain reg)
         (fun () ->
           List.iter
-            (fun s ->
+            (fun (s : Loadgen.sess) ->
               (match
-                 Registry.create_session reg ~tenant:"bench" ~id:s.id s.spec
+                 Registry.create_session reg ~tenant:s.tenant ~id:s.id s.spec
                with
               | Ok _ -> ()
               | Error e -> failwith (Core.Error.to_string e));
               let st =
-                Option.get (Registry.find reg ~tenant:"bench" ~id:s.id)
+                Option.get (Registry.find reg ~tenant:s.tenant ~id:s.id)
               in
-              ignore (drive ~stop_after:4 (ref 0) st s.truth);
+              ignore (drive ~stop_after:4 (ref 0) st s.reply);
               ignore (Registry.evict_idle reg))
             sess;
           (* Everything beyond the window is now cold: resume each one. *)
           let lats =
             List.filter_map
-              (fun s ->
+              (fun (s : Loadgen.sess) ->
                 let t0 = now () in
-                match Registry.find_or_resume reg ~tenant:"bench" ~id:s.id with
+                match Registry.find_or_resume reg ~tenant:s.tenant ~id:s.id with
                 | Ok (Some _) ->
                     let dt = 1000. *. (now () -. t0) in
                     ignore (Registry.evict_idle reg);
@@ -322,7 +278,7 @@ let run_part_b () =
           Array.sort compare lats;
           let stats = Registry.stats reg in
           (stats.Registry.evicted, stats.Registry.resumed,
-           percentile lats 0.50, percentile lats 0.99)))
+           Util.percentile lats 0.50, Util.percentile lats 0.99)))
 
 (* ------------------------------------------------------------------ *)
 (* Part C: disk-fault soak                                             *)
@@ -346,32 +302,32 @@ let soak_dir f =
   | Some d ->
       (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
       f d
-  | None -> with_temp_dir "learnq-pr7-soak" f
+  | None -> Util.with_temp_dir "learnq-pr7-soak" f
 
 let run_soak () =
   let sess = mixed_sessions soak_sessions_n in
-  (* Uninterrupted reference: the query every chaos run must converge to. *)
-  let expected_answers =
-    with_temp_dir "learnq-pr7-soak-ref" (fun dir ->
+  (* Uninterrupted reference: the answers each session takes and the query
+     every chaos run must converge to. *)
+  let refs =
+    Util.with_temp_dir "learnq-pr7-soak-ref" (fun dir ->
         let reg = registry ~dir ~sync:Core.Journal.Off () in
         Fun.protect
           ~finally:(fun () -> Registry.drain reg)
           (fun () ->
-            List.fold_left
-              (fun total s ->
+            List.map
+              (fun (s : Loadgen.sess) ->
                 (match
-                   Registry.create_session reg ~tenant:"bench" ~id:s.id s.spec
+                   Registry.create_session reg ~tenant:s.tenant ~id:s.id s.spec
                  with
                 | Ok _ -> ()
                 | Error e -> failwith (Core.Error.to_string e));
                 let st =
-                  Option.get (Registry.find reg ~tenant:"bench" ~id:s.id)
+                  Option.get (Registry.find reg ~tenant:s.tenant ~id:s.id)
                 in
-                let n, q = drive (ref 0) st s.truth in
-                s.ref_query <- q;
-                total + n)
-              0 sess))
+                drive (ref 0) st s.reply)
+              sess))
   in
+  let expected_answers = List.fold_left (fun t (n, _) -> t + n) 0 refs in
   soak_dir (fun dir ->
       let vfs =
         Core.Vfs.faulty ~seed:42
@@ -444,10 +400,10 @@ let run_soak () =
       in
       (* Create everything, then drive in strides through the window. *)
       List.iter
-        (fun s ->
+        (fun (s : Loadgen.sess) ->
           ignore
             (retry_transient (fun () ->
-                 Registry.create_session !reg ~tenant:"bench" ~id:s.id s.spec));
+                 Registry.create_session !reg ~tenant:s.tenant ~id:s.id s.spec));
           ignore (Registry.evict_idle !reg))
         sess;
       let rec rounds live =
@@ -456,11 +412,11 @@ let run_soak () =
         | live ->
             let still =
               List.filter
-                (fun s ->
+                (fun (s : Loadgen.sess) ->
                   let st =
                     retry_transient (fun () ->
                         match
-                          Registry.find_or_resume !reg ~tenant:"bench" ~id:s.id
+                          Registry.find_or_resume !reg ~tenant:s.tenant ~id:s.id
                         with
                         | Ok (Some st) -> Ok st
                         | Ok None ->
@@ -469,7 +425,7 @@ let run_soak () =
                   in
                   let n, _ =
                     drive ~stop_after:soak_stride ~fault_budget:100 retried st
-                      s.truth
+                      s.reply
                   in
                   answers := !answers + n;
                   ignore (Registry.evict_idle !reg);
@@ -482,19 +438,19 @@ let run_soak () =
       rounds sess;
       (* Verdict: every session alive, every query the reference one. *)
       let lost = ref 0 and mismatched = ref 0 in
-      List.iter
-        (fun s ->
+      List.iter2
+        (fun (s : Loadgen.sess) (_, ref_query) ->
           match
             retry_transient (fun () ->
-                match Registry.find_or_resume !reg ~tenant:"bench" ~id:s.id with
+                match Registry.find_or_resume !reg ~tenant:s.tenant ~id:s.id with
                 | (Ok _ | Error _) as r -> r)
           with
           | None -> incr lost
           | Some st ->
               let v = st.Stepper.view () in
-              if v.Stepper.query <> s.ref_query then incr mismatched;
+              if v.Stepper.query <> ref_query then incr mismatched;
               ignore (Registry.evict_idle !reg))
-        sess;
+        sess refs;
       note_quarantined ();
       Registry.drain !reg;
       {

@@ -1,29 +1,27 @@
 (* Sustained-load soak for the connection multiplexer (PR 10).
 
-   Phase A — the mux under open-loop load with a parked herd.  One
-   in-process daemon (mux + bounded worker pool); first a herd of
-   keep-alive connections each completes one request and then sits idle,
-   proving that parked connections cost zero threads; then the seeded
-   open-loop generator ({!Loadgen}) drives the full session population
-   through the same daemon while a sampler records sessions/sec, the
-   sliding-window p50/p99, and the /stats connection/thread gauges.
-   Gates:
+   The mux under open-loop load with a parked herd.  One in-process
+   daemon (mux + bounded worker pool); first a herd of keep-alive
+   connections each completes one request and then sits idle, proving
+   that parked connections cost zero threads; then the shared load driver
+   ({!Loadgen}) releases the full session population on a seeded
+   open-loop schedule through the same daemon while its sampler records
+   sessions/sec, the sliding-window p50/p99, and the /stats
+   connection/thread gauges.  Gates:
 
    - zero lost sessions: every arrival completes and /stats still counts
      each one at the end;
    - thread bound: with >= 500 connections parked, the HTTP thread
      budget stays at io_threads + 1 in every sample (parking is free);
-   - p99 within budget (default 500 ms, [LEARNQ_SOAK_P99_BUDGET_MS]) —
-     deliberately generous, catching order-of-magnitude regressions on
-     any hardware; the CI lane additionally diffs p99 against the
-     committed baseline for finer drift.
+   - p99 within a 500 ms budget — deliberately generous, catching
+     order-of-magnitude regressions on any hardware; the CI lane
+     additionally diffs p99 against the committed baseline for finer
+     drift.
 
-   Phase B — chaos regression: the PR 6 harness (real binary, SIGKILL at
-   ~40% progress, restart on the same state dir) re-run against the mux
-   build, gating that resumed sessions still converge to the transcripts
-   of uninterrupted runs and the drain still exits 0.
+   Crash equivalence under SIGKILL is pr6's gate ({!Serve}), which CI runs
+   on the same build.
 
-   Results land in BENCH_PR10.json; the sustained-soak CI lane greps the
+   Results land in BENCH_PR10.json; the sustained-soak CI lane checks the
    gates and diffs p99 against the committed baseline. *)
 
 module Client = Server.Client
@@ -31,44 +29,31 @@ module Json = Server.Json
 module Daemon = Server.Daemon
 module Tenant = Server.Tenant
 
-let getenv_int name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> default
-
-let getenv_float name default =
-  match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-  | Some x when x > 0.0 -> x
-  | _ -> default
-
-let sessions_n () = getenv_int "LEARNQ_SOAK_SESSIONS" 1000
-let duration_s () = getenv_float "LEARNQ_SOAK_SECONDS" 60.0
-let herd_n () = getenv_int "LEARNQ_SOAK_HERD" 600
-let workers_n () = getenv_int "LEARNQ_SOAK_WORKERS" 16
-let io_threads_n () = getenv_int "LEARNQ_SOAK_IO_THREADS" 4
-let p99_budget_ms () = getenv_float "LEARNQ_SOAK_P99_BUDGET_MS" 500.0
+let sessions_n = 1000
+let duration_s = 60.0
+let seed = 0x10ad
+let herd_n = 600
+let workers_n = 16
+let io_threads_n = 4
+let p99_budget_ms = 500.0
 let herd_bound = 500 (* the invariant's floor, regardless of herd size *)
 
-let with_temp_dir prefix f =
-  let path = Filename.temp_file prefix ".d" in
-  Sys.remove path;
-  Unix.mkdir path 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      (try
-         Array.iter
-           (fun e ->
-             try Sys.remove (Filename.concat path e) with Sys_error _ -> ())
-           (Sys.readdir path)
-       with Sys_error _ -> ());
-      try Unix.rmdir path with Unix.Unix_error _ -> ())
-    (fun () -> f path)
+(* The seeded open-loop schedule: cumulative exponential gaps at rate
+   sessions/duration, fixed up front. *)
+let arrivals () =
+  let g = Core.Prng.create seed in
+  let rate = float_of_int sessions_n /. duration_s in
+  let t = ref 0.0 in
+  List.init sessions_n (fun _ ->
+      let u = min (Core.Prng.float g 1.0) 0.999_999 in
+      t := !t +. (-.log (1.0 -. u) /. rate);
+      !t)
 
 (* ------------------------------------------------------------------ *)
-(* Phase A                                                             *)
+(* Load phase                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type phase_a = {
+type load = {
   a_result : Loadgen.result;
   a_live : int;  (** /stats sessions after the run *)
   a_herd_parked : int;  (** parked gauge once the herd settled *)
@@ -110,22 +95,17 @@ let rec connect_retry ~port =
       Thread.delay 0.05;
       connect_retry ~port
 
-let run_phase_a () =
-  with_temp_dir "learnq-sustain" (fun dir ->
+let run_load () =
+  Util.with_temp_dir "learnq-sustain" (fun dir ->
       Core.Telemetry.reset ();
-      let io_threads = io_threads_n () in
-      let herd = herd_n () in
-      let port_box = ref 0 in
-      let port_m = Mutex.create () in
-      let port_cv = Condition.create () in
       let cfg =
         {
           Daemon.default_config with
           Daemon.state_dir = dir;
           port = 0;
           pool = 2;
-          io_threads;
-          max_conns = herd + workers_n () + 64;
+          io_threads = io_threads_n;
+          max_conns = herd_n + workers_n + 64;
           max_idle_conns = 0;
           drain_grace = 5.0;
           sync = Core.Journal.Batch;
@@ -133,122 +113,106 @@ let run_phase_a () =
             Tenant.make
               ~default:(Tenant.quota ~max_sessions:1_000_000 ())
               [];
-          on_listen =
-            (fun p ->
-              Mutex.lock port_m;
-              port_box := p;
-              Condition.broadcast port_cv;
-              Mutex.unlock port_m);
         }
       in
-      let daemon = Daemon.create cfg in
-      let server_thread =
-        Thread.create (fun () -> ignore (Daemon.serve daemon)) ()
+      let phase _ port =
+        (* The herd: each connection completes one real request and then
+           parks.  They stay open for the whole load phase. *)
+        let herd_conns =
+          List.init herd_n (fun _ ->
+              let c = connect_retry ~port in
+              (match Client.request c ~meth:"GET" ~path:"/healthz" () with
+              | Ok (200, _) -> ()
+              | _ -> failwith "sustain: herd healthz failed");
+              c)
+        in
+        Fun.protect
+          ~finally:(fun () -> List.iter Client.close herd_conns)
+          (fun () ->
+            let sc = connect_retry ~port in
+            Fun.protect
+              ~finally:(fun () -> Client.close sc)
+              (fun () ->
+                (* Wait for every herd connection to park. *)
+                let deadline = Core.Monotonic.now () +. 30.0 in
+                let rec settle () =
+                  let p = stats_int sc "parked" in
+                  if p >= herd_n then p
+                  else if Core.Monotonic.now () > deadline then p
+                  else begin
+                    Thread.delay 0.1;
+                    settle ()
+                  end
+                in
+                let herd_parked = settle () in
+                let procs = proc_threads () in
+                Printf.printf
+                  "herd parked: %d connections, /stats threads = %d, process threads = %s\n%!"
+                  herd_parked (stats_int sc "threads")
+                  (match procs with
+                  | Some n -> string_of_int n
+                  | None -> "n/a");
+                let sess =
+                  Loadgen.population ~n:sessions_n ~seed
+                    ~id:(Printf.sprintf "g%05d")
+                    ~tenant:(fun _ -> "sustain")
+                    ~refusal:30 ~timeout:15 ~noise:20 ()
+                in
+                let result =
+                  Loadgen.run
+                    {
+                      Loadgen.host = "127.0.0.1";
+                      port = (fun () -> port);
+                      workers = workers_n;
+                      sample_every = 0.5;
+                    }
+                    (List.combine (arrivals ()) sess)
+                in
+                let live = stats_int sc "sessions" in
+                let parked_min, threads_max =
+                  List.fold_left
+                    (fun (pmin, tmax) s ->
+                      ( min pmin s.Loadgen.sm_parked,
+                        max tmax s.Loadgen.sm_threads ))
+                    (max_int, 0) result.Loadgen.r_samples
+                in
+                let parked_min =
+                  if parked_min = max_int then herd_parked else parked_min
+                in
+                {
+                  a_result = result;
+                  a_live = live;
+                  a_herd_parked = herd_parked;
+                  a_parked_min = parked_min;
+                  a_threads_max = threads_max;
+                  a_proc_threads = procs;
+                }))
       in
-      Fun.protect
-        ~finally:(fun () ->
-          Daemon.drain daemon;
-          Thread.join server_thread)
-        (fun () ->
-          Mutex.lock port_m;
-          while !port_box = 0 do
-            Condition.wait port_cv port_m
-          done;
-          let port = !port_box in
-          Mutex.unlock port_m;
-          (* The herd: each connection completes one real request and
-             then parks.  They stay open for the whole load phase. *)
-          let herd_conns =
-            List.init herd (fun _ ->
-                let c = connect_retry ~port in
-                (match Client.request c ~meth:"GET" ~path:"/healthz" () with
-                | Ok (200, _) -> ()
-                | _ -> failwith "sustain: herd healthz failed");
-                c)
-          in
-          Fun.protect
-            ~finally:(fun () -> List.iter Client.close herd_conns)
-            (fun () ->
-              let sc = connect_retry ~port in
-              Fun.protect
-                ~finally:(fun () -> Client.close sc)
-                (fun () ->
-                  (* Wait for every herd connection to park. *)
-                  let deadline = Core.Monotonic.now () +. 30.0 in
-                  let rec settle () =
-                    let p = stats_int sc "parked" in
-                    if p >= herd then p
-                    else if Core.Monotonic.now () > deadline then p
-                    else begin
-                      Thread.delay 0.1;
-                      settle ()
-                    end
-                  in
-                  let herd_parked = settle () in
-                  let procs = proc_threads () in
-                  Printf.printf
-                    "herd parked: %d connections, /stats threads = %d, process threads = %s\n%!"
-                    herd_parked (stats_int sc "threads")
-                    (match procs with
-                    | Some n -> string_of_int n
-                    | None -> "n/a");
-                  let result =
-                    Loadgen.run
-                      {
-                        Loadgen.lg_host = "127.0.0.1";
-                        lg_port = port;
-                        lg_tenant = "sustain";
-                        lg_seed = 0x10ad;
-                        lg_sessions = sessions_n ();
-                        lg_duration = duration_s ();
-                        lg_workers = workers_n ();
-                        lg_sample_every = 0.5;
-                      }
-                  in
-                  let live = stats_int sc "sessions" in
-                  let parked_min, threads_max =
-                    List.fold_left
-                      (fun (pmin, tmax) s ->
-                        ( min pmin s.Loadgen.sm_parked,
-                          max tmax s.Loadgen.sm_threads ))
-                      (max_int, 0) result.Loadgen.r_samples
-                  in
-                  let parked_min =
-                    if parked_min = max_int then herd_parked else parked_min
-                  in
-                  {
-                    a_result = result;
-                    a_live = live;
-                    a_herd_parked = herd_parked;
-                    a_parked_min = parked_min;
-                    a_threads_max = threads_max;
-                    a_proc_threads = procs;
-                  }))))
+      match Daemon.with_inprocess cfg phase with
+      | Ok a -> a
+      | Error e -> failwith ("sustain: serve: " ^ e))
 
 (* ------------------------------------------------------------------ *)
 
 let run () =
   print_endline "== learnq serve: sustained-load soak (PR 10) ==";
-  let total = sessions_n () in
   Printf.printf
-    "phase A: %d sessions over %.0f s (open-loop), %d workers, %d-conn idle herd, io-threads %d\n%!"
-    total (duration_s ()) (workers_n ()) (herd_n ()) (io_threads_n ());
-  let a = run_phase_a () in
+    "load: %d sessions over %.0f s (open-loop), %d workers, %d-conn idle herd, io-threads %d\n%!"
+    sessions_n duration_s workers_n herd_n io_threads_n;
+  let a = run_load () in
   let r = a.a_result in
   Printf.printf
-    "phase A: %.1f s, %d/%d completed (%d failed), %d answers, p50 %.1f ms p99 %.1f ms\n%!"
-    r.Loadgen.r_elapsed r.Loadgen.r_completed total r.Loadgen.r_failed
+    "load: %.1f s, %d/%d completed (%d failed), %d answers, p50 %.1f ms p99 %.1f ms\n%!"
+    r.Loadgen.r_elapsed r.Loadgen.r_completed sessions_n r.Loadgen.r_failed
     r.Loadgen.r_answers r.Loadgen.r_p50_ms r.Loadgen.r_p99_ms;
+  let thread_bound = io_threads_n + 1 in
   Printf.printf
-    "phase A: parked >= %d throughout, /stats threads <= %d (budget %d), pickup lag max %.0f ms\n%!"
-    a.a_parked_min a.a_threads_max
-    (io_threads_n () + 1)
-    r.Loadgen.r_lag_max_ms;
+    "load: parked >= %d throughout, /stats threads <= %d (budget %d), pickup lag max %.0f ms\n%!"
+    a.a_parked_min a.a_threads_max thread_bound r.Loadgen.r_lag_max_ms;
   let zero_lost =
-    r.Loadgen.r_completed = total && r.Loadgen.r_failed = 0
-    && a.a_live = total
+    r.Loadgen.r_completed = sessions_n && r.Loadgen.r_failed = 0
+    && a.a_live = sessions_n
   in
-  let thread_bound = io_threads_n () + 1 in
   let idle_thread_ok =
     a.a_herd_parked >= herd_bound
     && a.a_parked_min >= herd_bound
@@ -258,42 +222,26 @@ let run () =
        connections — thread-per-connection would need one each. *)
     && (match a.a_proc_threads with Some n -> n < herd_bound / 4 | None -> true)
   in
-  let p99_ok = r.Loadgen.r_p99_ms <= p99_budget_ms () in
-  (* Phase B: the PR 6 chaos harness against the mux build. *)
-  print_endline "phase B: chaos regression (SIGKILL + restart, real binary)";
-  let sess = Serve.sessions () in
-  let refs = Serve.reference_runs sess in
-  let b =
-    with_temp_dir "learnq-sustain-chaos" (fun dir ->
-        Serve.run_phase_a sess refs dir)
-  in
-  Printf.printf
-    "phase B: killed=%b zero_lost=%b match=%b drain_clean=%b (%.1f s)\n%!"
-    b.Serve.a_killed b.Serve.a_zero_lost b.Serve.a_match b.Serve.a_drain_clean
-    b.Serve.a_elapsed;
-  let chaos_ok =
-    b.Serve.a_killed && b.Serve.a_zero_lost && b.Serve.a_match
-    && b.Serve.a_drain_clean
-  in
-  let all_green = zero_lost && idle_thread_ok && p99_ok && chaos_ok in
+  let p99_ok = r.Loadgen.r_p99_ms <= p99_budget_ms in
+  let all_green = zero_lost && idle_thread_ok && p99_ok in
   let j =
     Json.Obj
       [
         ("bench", Json.Str "serve-sustain");
-        ("sessions", Json.of_int total);
-        ("duration_s", Json.Num (duration_s ()));
-        ("workers", Json.of_int (workers_n ()));
-        ("herd_conns", Json.of_int (herd_n ()));
-        ("io_threads", Json.of_int (io_threads_n ()));
+        ("sessions", Json.of_int sessions_n);
+        ("duration_s", Json.Num duration_s);
+        ("workers", Json.of_int workers_n);
+        ("herd_conns", Json.of_int herd_n);
+        ("io_threads", Json.of_int io_threads_n);
         ("elapsed_s", Json.Num r.Loadgen.r_elapsed);
         ( "sessions_per_sec",
-          Json.Num (float_of_int total /. r.Loadgen.r_elapsed) );
+          Json.Num (float_of_int sessions_n /. r.Loadgen.r_elapsed) );
         ("completed", Json.of_int r.Loadgen.r_completed);
         ("failed", Json.of_int r.Loadgen.r_failed);
         ("answers", Json.of_int r.Loadgen.r_answers);
         ("p50_ms", Json.Num r.Loadgen.r_p50_ms);
         ("p99_ms", Json.Num r.Loadgen.r_p99_ms);
-        ("p99_budget_ms", Json.Num (p99_budget_ms ()));
+        ("p99_budget_ms", Json.Num p99_budget_ms);
         ("p99_within_budget", Json.Bool p99_ok);
         ("zero_lost_sessions", Json.Bool zero_lost);
         ("herd_parked", Json.of_int a.a_herd_parked);
@@ -307,16 +255,6 @@ let run () =
         ("idle_thread_bound_ok", Json.Bool idle_thread_ok);
         ("arrival_lag_max_ms", Json.Num r.Loadgen.r_lag_max_ms);
         ("timeseries", Loadgen.samples_json r.Loadgen.r_samples);
-        ( "chaos",
-          Json.Obj
-            [
-              ("killed", Json.Bool b.Serve.a_killed);
-              ("zero_lost", Json.Bool b.Serve.a_zero_lost);
-              ("resumed_matches_uninterrupted", Json.Bool b.Serve.a_match);
-              ("drain_clean", Json.Bool b.Serve.a_drain_clean);
-              ("sessions_per_sec", Json.Num b.Serve.a_sessions_per_sec);
-              ("p99_ms", Json.Num b.Serve.a_p99_ms);
-            ] );
         ("all_green", Json.Bool all_green);
       ]
   in

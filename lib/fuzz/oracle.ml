@@ -1052,15 +1052,9 @@ let with_temp_dir prefix f =
 
 (* A client whose reply to a question is a pure function of the question:
    crash and re-ask as often as you like, the answer never changes. *)
-let serve_client c truth key =
-  let g = Prng.create (c.sc_spec.Server.Engines.seed lxor Hashtbl.hash key) in
-  let roll = Prng.int g 1000 in
-  if roll < c.sc_refusal then Core.Flaky.Refused
-  else if roll < c.sc_refusal + c.sc_timeout then Core.Flaky.Timed_out
-  else
-    let label = truth key in
-    Core.Flaky.Label
-      (if Prng.int g 1000 < c.sc_noise then not label else label)
+let serve_client c truth =
+  Server.Engines.user c.sc_spec ~truth ~refusal:c.sc_refusal
+    ~timeout:c.sc_timeout ~noise:c.sc_noise
 
 let serve_registry ?(vfs = Core.Vfs.real) ?(checkpoint_every = 0)
     ?(max_live = 0) ~dir ~sync () =

@@ -163,11 +163,14 @@ let request t ~meth ~path ?tenant ?(headers = []) ?body () =
       (* The parked connection was evicted (idle cap, drain, restart)
          between requests — not an error, the protocol allows it.  The
          socket died before a single response byte, so the request was
-         never processed: reconnect and retry exactly once. *)
-      close t;
+         never processed: reconnect and retry exactly once.  The dead
+         socket is closed only once a new one replaces it, so after a
+         failed reconnect [t] still owns an open descriptor and the
+         caller's {!close} cannot hit a number another thread reused. *)
       match connect_fd ~host:t.host ~port:t.port with
       | Error msg -> Error ("reconnect after stale keep-alive: " ^ msg)
       | Ok fd -> (
+          close t;
           t.fd <- fd;
           t.buf <- "";
           t.used <- false;

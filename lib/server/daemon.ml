@@ -842,3 +842,50 @@ let serve t =
       Registry.drain t.registry;
       Core.Pool.shutdown pool;
       Ok ()
+
+let with_inprocess cfg f =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  let m = Mutex.create () and cv = Condition.create () in
+  let port = ref None and served = ref None in
+  let publish set =
+    Mutex.lock m;
+    set ();
+    Condition.broadcast cv;
+    Mutex.unlock m
+  in
+  let t =
+    create
+      {
+        cfg with
+        on_listen =
+          (fun p ->
+            cfg.on_listen p;
+            publish (fun () -> port := Some p));
+      }
+  in
+  let th =
+    Thread.create
+      (fun () ->
+        let r = try serve t with e -> Error (Printexc.to_string e) in
+        publish (fun () -> served := Some r))
+      ()
+  in
+  Mutex.lock m;
+  while !port = None && !served = None do
+    Condition.wait cv m
+  done;
+  let bound = !port in
+  Mutex.unlock m;
+  match bound with
+  | Some p ->
+      Fun.protect
+        ~finally:(fun () ->
+          drain t;
+          Thread.join th)
+        (fun () -> Ok (f t p))
+  | None -> (
+      Thread.join th;
+      match !served with
+      | Some (Error e) -> Error e
+      | _ -> Error "serve returned before listening")

@@ -134,6 +134,15 @@ val serve : t -> (unit, string) result
 val drain : t -> unit
 (** Idempotent; callable from a signal handler or another thread. *)
 
+val with_inprocess : config -> (t -> int -> 'a) -> ('a, string) result
+(** [with_inprocess cfg f] boots a daemon on a thread of this process,
+    waits for it to listen, runs [f daemon port], then drains it and joins
+    its thread (also when [f] raises).  [cfg.on_listen] is still called.
+    [Error] is {!serve}'s bind/listen failure, in which case [f] never
+    runs.  SIGPIPE is ignored, as [learnq serve] does, since peers may
+    close their sockets mid-response.  The tests and the in-process benches
+    boot their daemons through this. *)
+
 val draining : t -> bool
 
 val degraded : t -> bool

@@ -205,3 +205,12 @@ let oracle s ~goal =
       Error
         (Error.invalid_input ~what:"engine"
            (Printf.sprintf "unknown engine %S" e))
+
+let user s ~truth ~refusal ~timeout ~noise key =
+  let g = Core.Prng.create (s.seed lxor Hashtbl.hash key) in
+  let roll = Core.Prng.int g 1000 in
+  if roll < refusal then Core.Flaky.Refused
+  else if roll < refusal + timeout then Core.Flaky.Timed_out
+  else
+    let label = truth key in
+    Core.Flaky.Label (if Core.Prng.int g 1000 < noise then not label else label)

@@ -8,8 +8,9 @@
     instance (generators are deterministic in the seed) and resume — the
     daemon stores nothing else.
 
-    [goal] turns a spec plus a goal description into a simulated user — the
-    chaos bench and the CI smoke test answer their own questions with it. *)
+    {!oracle} turns a spec plus a goal description into a labeling
+    function, and {!user} into the simulated crowd user that the serve
+    benches and the server fuzz oracles answer their questions with. *)
 
 type spec = {
   engine : string;  (** ["twig"], ["join"], or ["path"] *)
@@ -69,3 +70,20 @@ val oracle : spec -> goal:string -> (string -> bool, Core.Error.t) result
     field), simulating a user who holds [goal]: twig — a twig query string;
     join — ["planted"] for the instance's hidden predicate; path — a
     regular expression over edge labels. *)
+
+val user :
+  spec ->
+  truth:(string -> bool) ->
+  refusal:int ->
+  timeout:int ->
+  noise:int ->
+  string ->
+  Core.Flaky.reply
+(** [user spec ~truth ~refusal ~timeout ~noise key] is the simulated user's
+    reply to question [key]: refused with probability [refusal]‰, timed out
+    with [timeout]‰, otherwise [Label (truth key)] flipped with [noise]‰.
+    The draws come from a PRNG seeded by the spec's seed and a hash of
+    [key], so the reply is a pure function of the question: a session
+    re-asked after a crash sees the same replies in the same order as an
+    uninterrupted one, which is what the server's crash-equivalence checks
+    rely on.  Zero rates give [Label (truth key)]. *)

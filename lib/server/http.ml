@@ -184,117 +184,8 @@ let rec step p =
 let mid_request p = p.perr <> None || p.phead <> None || pending p > 0
 
 (* ------------------------------------------------------------------ *)
-(* Socket I/O                                                          *)
+(* Responses                                                           *)
 (* ------------------------------------------------------------------ *)
-
-type conn = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;  (** bytes read from the socket, not yet consumed *)
-  chunk : Bytes.t;
-}
-
-let conn_of_fd fd = { fd; buf = Buffer.create 1024; chunk = Bytes.create 4096 }
-
-(* One socket read into the buffer.  Returns the byte count (0 = EOF). *)
-let refill c =
-  match Unix.read c.fd c.chunk 0 (Bytes.length c.chunk) with
-  | 0 -> Ok 0
-  | n ->
-      Buffer.add_subbytes c.buf c.chunk 0 n;
-      Ok n
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      Error "timeout"
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> Ok (-1) (* retry *)
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
-(* Index of "\r\n\r\n" (or the lenient "\n\n") in the buffer, with the
-   terminator length, if present. *)
-let find_head_end c =
-  let s = Buffer.contents c.buf in
-  let n = String.length s in
-  let rec go i =
-    if i + 1 >= n then None
-    else if s.[i] = '\n' && s.[i + 1] = '\n' then Some (i, 2, s)
-    else if
-      i + 3 < n
-      && s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
-    then Some (i, 4, s)
-    else go (i + 1)
-  in
-  go 0
-
-(* Drop [k] consumed bytes from the front of the buffer. *)
-let consume c k =
-  let s = Buffer.contents c.buf in
-  Buffer.clear c.buf;
-  Buffer.add_substring c.buf s k (String.length s - k)
-
-let buffered c = Buffer.length c.buf > 0
-
-let read_request ?(max_head = 16 * 1024) ?(max_body = 1024 * 1024) c =
-  (* The buffer is consumed only once the complete request — head {e and}
-     body — has arrived.  A receive timeout mid-request therefore leaves
-     every byte in place, and the caller can simply call again to keep
-     reading the same request; treating [Error "timeout"] as an idle
-     keep-alive poll can never drop a half-received request. *)
-  let rec head () =
-    match find_head_end c with
-    | Some (i, tlen, s) -> Ok (Some (String.sub s 0 i, i + tlen))
-    | None ->
-        if Buffer.length c.buf > max_head then Error "request head too large"
-        else (
-          match refill c with
-          | Ok 0 ->
-              if Buffer.length c.buf = 0 then Ok None (* orderly EOF *)
-              else Error "eof mid request head"
-          | Ok _ -> head ()
-          | Error _ as e -> e)
-  in
-  let rec body ~off len =
-    if Buffer.length c.buf >= off + len then (
-      let s = Buffer.contents c.buf in
-      let b = String.sub s off len in
-      consume c (off + len);
-      Ok b)
-    else
-      match refill c with
-      | Ok 0 -> Error "eof mid request body"
-      | Ok _ -> body ~off len
-      | Error _ as e -> e
-  in
-  match head () with
-  | Error _ as e -> e
-  | Ok None -> Ok None
-  | Ok (Some (raw, off)) -> (
-      match parse_head raw with
-      | Error _ as e -> e
-      | Ok req -> (
-          let len =
-            match header "content-length" req with
-            | None -> Ok 0
-            | Some v -> (
-                match int_of_string_opt v with
-                | Some n when n >= 0 -> Ok n
-                | _ -> Error (Printf.sprintf "bad content-length %S" v))
-          in
-          match len with
-          | Error _ as e -> e
-          | Ok len when len > max_body -> Error "request body too large"
-          | Ok len ->
-              Result.map (fun b -> Some { req with body = b }) (body ~off len)))
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off >= n then Ok ()
-    else
-      match Unix.write fd b off (n - off) with
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  in
-  go 0
 
 let response_bytes ~keep_alive { status; headers; body } =
   let body = body ^ "\n" in
@@ -318,6 +209,3 @@ let response_bytes ~keep_alive { status; headers; body } =
   Buffer.add_string buf "\r\n";
   Buffer.add_string buf body;
   Buffer.contents buf
-
-let write_response c ~keep_alive resp =
-  write_all c.fd (response_bytes ~keep_alive resp)

@@ -6,9 +6,10 @@
     headers — just enough of RFC 9112 for [curl] and the bundled
     {!Client} to speak to the daemon.
 
-    The head parser ({!parse_head}) is pure, so tests can exercise framing
-    without sockets; {!read_request} layers buffered socket reads (with
-    size caps, so a hostile peer cannot balloon memory) on top of it. *)
+    Both parsers are pure, so tests can exercise framing without sockets:
+    {!parse_head} reads one request head, and {!incremental} resumes
+    parsing across arbitrary byte splits (with size caps, so a hostile peer
+    cannot balloon memory) for the multiplexer. *)
 
 type request = {
   meth : string;  (** uppercased verb: ["GET"], ["POST"], … *)
@@ -47,8 +48,7 @@ val reason : int -> string
 type incremental
 
 val incremental : ?max_head:int -> ?max_body:int -> unit -> incremental
-(** A fresh parser (default caps 16 KiB head / 1 MiB body, as
-    {!read_request}). *)
+(** A fresh parser (default caps 16 KiB head / 1 MiB body). *)
 
 val feed : incremental -> string -> unit
 val feed_sub : incremental -> Bytes.t -> pos:int -> len:int -> unit
@@ -68,33 +68,10 @@ val mid_request : incremental -> bool
     slow-request deadline applies; [false] means the connection is idle
     and may park indefinitely. *)
 
-(** {1 Socket I/O} *)
-
-type conn
-(** A buffered connection wrapper around a socket. *)
-
-val conn_of_fd : Unix.file_descr -> conn
-
-val buffered : conn -> bool
-(** [true] iff unconsumed bytes are buffered — i.e. a request is partly
-    received (or pipelined).  After an [Error "timeout"], this is how the
-    caller distinguishes "idle keep-alive connection" from "client paused
-    mid-request": only the former may be treated as an idle poll. *)
-
-val read_request :
-  ?max_head:int -> ?max_body:int -> conn -> (request option, string) result
-(** Reads one request: head up to the [\r\n\r\n] terminator, then exactly
-    [Content-Length] body bytes.  [Ok None] is orderly EOF before any byte
-    of a request; [Error _] covers malformed heads, oversized heads/bodies
-    (defaults 16 KiB / 1 MiB), and mid-request EOF.  Read timeouts set on
-    the socket surface as [Error "timeout"]; the buffer is consumed only
-    when a complete request has arrived, so calling again after a timeout
-    resumes reading the {e same} request with nothing lost. *)
+(** {1 Responses} *)
 
 val response_bytes : keep_alive:bool -> response -> string
 (** The serialized wire form: status line, headers ([Content-Length],
     [Connection], a default [Content-Type], any extras), body + ["\n"].
     The multiplexer writes these bytes non-blockingly. *)
 
-val write_response : conn -> keep_alive:bool -> response -> (unit, string) result
-(** Blocking {!response_bytes} write. *)

@@ -125,36 +125,25 @@ let test_http_parse_head_rejects () =
     [ ""; "GET"; "GET /x"; "GET /x HTTP/1.1\r\nNoColonHere" ]
 
 let test_http_timeout_mid_body_resumes () =
-  (* A receive timeout between the head and the body must not lose the
-     request: the next read_request call picks up the same request and
-     returns it whole once the body arrives. *)
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close a with Unix.Unix_error _ -> ());
-      try Unix.close b with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.set_nonblock a;
-      (* nonblocking read surfaces as Error "timeout", like SO_RCVTIMEO *)
-      let conn = Http.conn_of_fd a in
-      let head = "POST /v1/x HTTP/1.1\r\nContent-Length: 4\r\n\r\n" in
-      let n = Unix.write_substring b head 0 (String.length head) in
-      Alcotest.(check int) "head written" (String.length head) n;
-      let _ = Unix.write_substring b "ab" 0 2 in
-      (* client pauses mid-body *)
-      (match Http.read_request conn with
-      | Error "timeout" -> ()
-      | Ok _ -> Alcotest.fail "request cannot be complete yet"
-      | Error e -> Alcotest.failf "wrong error: %s" e);
-      Alcotest.(check bool) "partial request still buffered" true
-        (Http.buffered conn);
-      let _ = Unix.write_substring b "cd" 0 2 in
-      match Http.read_request conn with
-      | Ok (Some req) ->
-          Alcotest.(check string) "nothing lost: full body" "abcd" req.Http.body;
-          Alcotest.(check string) "path intact" "/v1/x" req.Http.path
-      | Ok None -> Alcotest.fail "eof?"
-      | Error e -> Alcotest.failf "read_request: %s" e)
+  (* A client that pauses between the head and the body must not lose the
+     request: the parser stays pending mid-request, and returns the request
+     whole once the rest of the body arrives. *)
+  let p = Http.incremental () in
+  Http.feed p "POST /v1/x HTTP/1.1\r\nContent-Length: 4\r\n\r\n";
+  Http.feed p "ab";
+  (match Http.step p with
+  | `More -> ()
+  | `Request _ -> Alcotest.fail "request cannot be complete yet"
+  | `Error e -> Alcotest.failf "wrong error: %s" e);
+  Alcotest.(check bool) "partial request still pending" true
+    (Http.mid_request p);
+  Http.feed p "cd";
+  match Http.step p with
+  | `Request req ->
+      Alcotest.(check string) "nothing lost: full body" "abcd" req.Http.body;
+      Alcotest.(check string) "path intact" "/v1/x" req.Http.path
+  | `More -> Alcotest.fail "complete request still pending"
+  | `Error e -> Alcotest.failf "step: %s" e
 
 let test_engines_spec_limits () =
   (* Unbounded instance knobs must be refused at both entry points: the
@@ -193,6 +182,31 @@ let test_engines_spec_limits () =
   with
   | Ok s -> Alcotest.(check bool) "roundtrip" true (s = Engines.default_spec)
   | Error e -> Alcotest.failf "default spec refused: %s" e
+
+(* The simulated user of the serve benches and the server fuzz oracles:
+   a reply is a pure function of (spec, question), so crash and re-ask in
+   any order and the answers never change. *)
+let test_engines_user_pure () =
+  let spec = { Engines.default_spec with Engines.seed = 41 } in
+  let truth key = String.length key mod 2 = 0 in
+  let user () = Engines.user spec ~truth ~refusal:200 ~timeout:100 ~noise:100 in
+  let keys = List.init 300 (Printf.sprintf "q%d") in
+  let forward = List.map (user ()) keys in
+  let backward = List.rev (List.map (user ()) (List.rev keys)) in
+  Alcotest.(check bool) "same replies in any call order" true
+    (forward = backward);
+  Alcotest.(check bool) "refusals, timeouts and noise all drawn" true
+    (List.mem Core.Flaky.Refused forward
+    && List.mem Core.Flaky.Timed_out forward
+    && List.exists2
+         (fun k r -> r = Core.Flaky.Label (not (truth k)))
+         keys forward);
+  let exact = Engines.user spec ~truth ~refusal:0 ~timeout:0 ~noise:0 in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) ("zero rates label " ^ k) true
+        (exact k = Core.Flaky.Label (truth k)))
+    keys
 
 (* ------------------------------------------------------------------ *)
 (* Stepper: the server's side of the session core                     *)
@@ -797,190 +811,135 @@ let test_admission_drain_refuses_submits () =
 (* Daemon + client, in process                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_daemon_end_to_end () =
+(* Boot a daemon on a fresh state directory (pool 1, 2 s drain grace,
+   then [cfg_mod]) for [f daemon port]. *)
+let with_inprocess_daemon cfg_mod f =
   with_temp_dir (fun dir ->
-      let port_box = ref 0 in
-      let port_m = Mutex.create () in
-      let port_cv = Condition.create () in
-      let cfg =
-        {
-          Server.Daemon.default_config with
-          Server.Daemon.state_dir = dir;
-          port = 0;
-          pool = 1;
-          drain_grace = 2.0;
-          on_listen =
-            (fun p ->
-              Mutex.lock port_m;
-              port_box := p;
-              Condition.broadcast port_cv;
-              Mutex.unlock port_m);
-        }
-      in
-      let daemon = Server.Daemon.create cfg in
-      let serve_result = ref (Ok ()) in
-      let server_thread =
-        Thread.create (fun () -> serve_result := Server.Daemon.serve daemon) ()
+      match
+        Server.Daemon.with_inprocess
+          (cfg_mod
+             {
+               Server.Daemon.default_config with
+               Server.Daemon.state_dir = dir;
+               port = 0;
+               pool = 1;
+               drain_grace = 2.0;
+             })
+          f
+      with
+      | Ok v -> v
+      | Error e -> Alcotest.failf "serve: %s" e)
+
+let test_daemon_end_to_end () =
+  with_inprocess_daemon Fun.id (fun _ port ->
+      let c =
+        match Server.Client.connect ~host:"127.0.0.1" ~port with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "connect: %s" e
       in
       Fun.protect
-        ~finally:(fun () ->
-          Server.Daemon.drain daemon;
-          Thread.join server_thread;
-          match !serve_result with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "serve: %s" e)
+        ~finally:(fun () -> Server.Client.close c)
         (fun () ->
-          Mutex.lock port_m;
-          while !port_box = 0 do
-            Condition.wait port_cv port_m
-          done;
-          let port = !port_box in
-          Mutex.unlock port_m;
-          let c =
-            match Server.Client.connect ~host:"127.0.0.1" ~port with
-            | Ok c -> c
-            | Error e -> Alcotest.failf "connect: %s" e
+          let req ?body meth path =
+            match Server.Client.request c ~meth ~path ?body () with
+            | Ok r -> r
+            | Error e -> Alcotest.failf "%s %s: %s" meth path e
           in
-          Fun.protect
-            ~finally:(fun () -> Server.Client.close c)
-            (fun () ->
-              let req ?body meth path =
-                match Server.Client.request c ~meth ~path ?body () with
-                | Ok r -> r
-                | Error e -> Alcotest.failf "%s %s: %s" meth path e
-              in
-              let code, _ = req "GET" "/healthz" in
-              Alcotest.(check int) "healthz" 200 code;
-              let code, view =
-                req "POST" "/v1/sessions"
-                  ~body:
-                    (Json.Obj
-                       [
-                         ("id", Json.Str "e2e");
-                         ("engine", Json.Str "twig");
-                         ("seed", Json.of_int 7);
-                         ("scale", Json.Num 0.02);
-                       ])
-              in
-              Alcotest.(check int) "create" 200 code;
-              let qid = Option.get (Json.get_int "qid" view) in
-              let truth = truth_of twig_spec "//person/name" in
-              let key = Option.get (Json.get_str "question" view) in
-              let code, view =
-                req "POST" "/v1/sessions/e2e/answers"
-                  ~body:
-                    (Json.Obj
-                       [
-                         ("qid", Json.of_int qid);
-                         ("reply", Json.Bool (truth key));
-                       ])
-              in
-              Alcotest.(check int) "answer" 200 code;
-              Alcotest.(check bool) "question advanced" true
-                (Option.get (Json.get_int "qid" view) > qid);
-              let code, view' = req "GET" "/v1/sessions/e2e" in
-              Alcotest.(check int) "get view" 200 code;
-              Alcotest.(check (option int)) "stable view"
-                (Json.get_int "qid" view)
-                (Json.get_int "qid" view');
-              let code, _ = req "GET" "/v1/sessions/nosuch" in
-              Alcotest.(check int) "unknown session" 404 code;
-              let code, stats = req "GET" "/stats" in
-              Alcotest.(check int) "stats" 200 code;
-              Alcotest.(check (option int)) "one live session" (Some 1)
-                (Json.get_int "sessions" stats))))
+          let code, _ = req "GET" "/healthz" in
+          Alcotest.(check int) "healthz" 200 code;
+          let code, view =
+            req "POST" "/v1/sessions"
+              ~body:
+                (Json.Obj
+                   [
+                     ("id", Json.Str "e2e");
+                     ("engine", Json.Str "twig");
+                     ("seed", Json.of_int 7);
+                     ("scale", Json.Num 0.02);
+                   ])
+          in
+          Alcotest.(check int) "create" 200 code;
+          let qid = Option.get (Json.get_int "qid" view) in
+          let truth = truth_of twig_spec "//person/name" in
+          let key = Option.get (Json.get_str "question" view) in
+          let code, view =
+            req "POST" "/v1/sessions/e2e/answers"
+              ~body:
+                (Json.Obj
+                   [
+                     ("qid", Json.of_int qid);
+                     ("reply", Json.Bool (truth key));
+                   ])
+          in
+          Alcotest.(check int) "answer" 200 code;
+          Alcotest.(check bool) "question advanced" true
+            (Option.get (Json.get_int "qid" view) > qid);
+          let code, view' = req "GET" "/v1/sessions/e2e" in
+          Alcotest.(check int) "get view" 200 code;
+          Alcotest.(check (option int)) "stable view"
+            (Json.get_int "qid" view)
+            (Json.get_int "qid" view');
+          let code, _ = req "GET" "/v1/sessions/nosuch" in
+          Alcotest.(check int) "unknown session" 404 code;
+          let code, stats = req "GET" "/stats" in
+          Alcotest.(check int) "stats" 200 code;
+          Alcotest.(check (option int)) "one live session" (Some 1)
+            (Json.get_int "sessions" stats)))
 
 let test_daemon_degraded_mode_self_heals () =
-  with_temp_dir (fun dir ->
-      let vfs = Core.Vfs.faulty ~seed:2 Core.Flaky.no_disk_faults in
-      let port_box = ref 0 in
-      let port_m = Mutex.create () in
-      let port_cv = Condition.create () in
-      let cfg =
-        {
-          Server.Daemon.default_config with
-          Server.Daemon.state_dir = dir;
-          port = 0;
-          pool = 1;
-          drain_grace = 2.0;
-          sync = Core.Journal.Always;
-          vfs;
-          on_listen =
-            (fun p ->
-              Mutex.lock port_m;
-              port_box := p;
-              Condition.broadcast port_cv;
-              Mutex.unlock port_m);
-        }
-      in
-      let daemon = Server.Daemon.create cfg in
-      let serve_result = ref (Ok ()) in
-      let server_thread =
-        Thread.create (fun () -> serve_result := Server.Daemon.serve daemon) ()
+  let vfs = Core.Vfs.faulty ~seed:2 Core.Flaky.no_disk_faults in
+  with_inprocess_daemon
+    (fun cfg -> { cfg with Server.Daemon.sync = Core.Journal.Always; vfs })
+    (fun _ port ->
+      let c =
+        match Server.Client.connect ~host:"127.0.0.1" ~port with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "connect: %s" e
       in
       Fun.protect
-        ~finally:(fun () ->
-          Server.Daemon.drain daemon;
-          Thread.join server_thread;
-          match !serve_result with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "serve: %s" e)
+        ~finally:(fun () -> Server.Client.close c)
         (fun () ->
-          Mutex.lock port_m;
-          while !port_box = 0 do
-            Condition.wait port_cv port_m
-          done;
-          let port = !port_box in
-          Mutex.unlock port_m;
-          let c =
-            match Server.Client.connect ~host:"127.0.0.1" ~port with
-            | Ok c -> c
-            | Error e -> Alcotest.failf "connect: %s" e
+          let req ?body meth path =
+            match Server.Client.request c ~meth ~path ?body () with
+            | Ok r -> r
+            | Error e -> Alcotest.failf "%s %s: %s" meth path e
           in
-          Fun.protect
-            ~finally:(fun () -> Server.Client.close c)
-            (fun () ->
-              let req ?body meth path =
-                match Server.Client.request c ~meth ~path ?body () with
-                | Ok r -> r
-                | Error e -> Alcotest.failf "%s %s: %s" meth path e
-              in
-              let create_body id =
-                Json.Obj
-                  [
-                    ("id", Json.Str id);
-                    ("engine", Json.Str "twig");
-                    ("seed", Json.of_int 7);
-                    ("scale", Json.Num 0.02);
-                  ]
-              in
-              (* Disk fills: creates are refused with 507 and the daemon
-                 flips into degraded read-only mode. *)
-              Core.Vfs.set_full vfs true;
-              let code, _ = req "POST" "/v1/sessions" ~body:(create_body "a") in
-              Alcotest.(check int) "full disk refuses create" 507 code;
-              let _, stats = req "GET" "/stats" in
-              Alcotest.(check (option bool)) "stats report degraded"
-                (Some true)
-                (Json.get_bool "degraded" stats);
-              let code, _ = req "POST" "/v1/sessions" ~body:(create_body "b") in
-              Alcotest.(check int) "degraded mode short-circuits creates" 507
-                code;
-              (* Space returns: the ~1/s heal probe clears the flag. *)
-              Core.Vfs.set_full vfs false;
-              let deadline = Unix.gettimeofday () +. 10.0 in
-              let rec await_heal () =
-                let _, stats = req "GET" "/stats" in
-                if Json.get_bool "degraded" stats = Some false then ()
-                else if Unix.gettimeofday () > deadline then
-                  Alcotest.fail "daemon never healed after space returned"
-                else (
-                  Thread.delay 0.2;
-                  await_heal ())
-              in
-              await_heal ();
-              let code, _ = req "POST" "/v1/sessions" ~body:(create_body "c") in
-              Alcotest.(check int) "healed daemon accepts creates" 200 code)))
+          let create_body id =
+            Json.Obj
+              [
+                ("id", Json.Str id);
+                ("engine", Json.Str "twig");
+                ("seed", Json.of_int 7);
+                ("scale", Json.Num 0.02);
+              ]
+          in
+          (* Disk fills: creates are refused with 507 and the daemon
+             flips into degraded read-only mode. *)
+          Core.Vfs.set_full vfs true;
+          let code, _ = req "POST" "/v1/sessions" ~body:(create_body "a") in
+          Alcotest.(check int) "full disk refuses create" 507 code;
+          let _, stats = req "GET" "/stats" in
+          Alcotest.(check (option bool)) "stats report degraded"
+            (Some true)
+            (Json.get_bool "degraded" stats);
+          let code, _ = req "POST" "/v1/sessions" ~body:(create_body "b") in
+          Alcotest.(check int) "degraded mode short-circuits creates" 507
+            code;
+          (* Space returns: the ~1/s heal probe clears the flag. *)
+          Core.Vfs.set_full vfs false;
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          let rec await_heal () =
+            let _, stats = req "GET" "/stats" in
+            if Json.get_bool "degraded" stats = Some false then ()
+            else if Unix.gettimeofday () > deadline then
+              Alcotest.fail "daemon never healed after space returned"
+            else (
+              Thread.delay 0.2;
+              await_heal ())
+          in
+          await_heal ();
+          let code, _ = req "POST" "/v1/sessions" ~body:(create_body "c") in
+          Alcotest.(check int) "healed daemon accepts creates" 200 code))
 
 (* A request slowed by an injected fsync stall must be findable end to
    end: in /debug/slow under its client-chosen trace id, in the flight
@@ -988,298 +947,225 @@ let test_daemon_degraded_mode_self_heals () =
    the pool domain, and in the /debug/flightrecorder dump. *)
 let test_daemon_slow_request_traceable () =
   Core.Telemetry.reset ();
-  with_temp_dir (fun dir ->
-      let vfs = Core.Vfs.faulty ~seed:3 Core.Flaky.no_disk_faults in
-      let port_box = ref 0 in
-      let port_m = Mutex.create () in
-      let port_cv = Condition.create () in
-      let cfg =
-        {
-          Server.Daemon.default_config with
-          Server.Daemon.state_dir = dir;
-          port = 0;
-          pool = 1;
-          drain_grace = 2.0;
-          sync = Core.Journal.Always;
-          vfs;
-          slow_ms = 50.;
-          on_listen =
-            (fun p ->
-              Mutex.lock port_m;
-              port_box := p;
-              Condition.broadcast port_cv;
-              Mutex.unlock port_m);
-        }
-      in
-      let daemon = Server.Daemon.create cfg in
-      let serve_result = ref (Ok ()) in
-      let server_thread =
-        Thread.create (fun () -> serve_result := Server.Daemon.serve daemon) ()
+  let vfs = Core.Vfs.faulty ~seed:3 Core.Flaky.no_disk_faults in
+  with_inprocess_daemon
+    (fun cfg ->
+      { cfg with Server.Daemon.sync = Core.Journal.Always; vfs; slow_ms = 50. })
+    (fun daemon port ->
+      let c =
+        match Server.Client.connect ~host:"127.0.0.1" ~port with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "connect: %s" e
       in
       Fun.protect
-        ~finally:(fun () ->
-          Server.Daemon.drain daemon;
-          Thread.join server_thread;
-          match !serve_result with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "serve: %s" e)
+        ~finally:(fun () -> Server.Client.close c)
         (fun () ->
-          Mutex.lock port_m;
-          while !port_box = 0 do
-            Condition.wait port_cv port_m
-          done;
-          let port = !port_box in
-          Mutex.unlock port_m;
-          let c =
-            match Server.Client.connect ~host:"127.0.0.1" ~port with
-            | Ok c -> c
-            | Error e -> Alcotest.failf "connect: %s" e
+          let req ?headers ?body meth path =
+            match Server.Client.request c ~meth ~path ?headers ?body () with
+            | Ok r -> r
+            | Error e -> Alcotest.failf "%s %s: %s" meth path e
           in
-          Fun.protect
-            ~finally:(fun () -> Server.Client.close c)
-            (fun () ->
-              let req ?headers ?body meth path =
-                match Server.Client.request c ~meth ~path ?headers ?body () with
-                | Ok r -> r
-                | Error e -> Alcotest.failf "%s %s: %s" meth path e
-              in
-              (* /healthz reports the liveness shape. *)
-              let code, h = req "GET" "/healthz" in
-              Alcotest.(check int) "healthz" 200 code;
-              Alcotest.(check (option bool)) "healthy" (Some true)
-                (Json.get_bool "ok" h);
-              Alcotest.(check (option bool)) "not draining" (Some false)
-                (Json.get_bool "draining" h);
-              Alcotest.(check (option bool)) "not degraded" (Some false)
-                (Json.get_bool "degraded" h);
-              Alcotest.(check (option int)) "no sessions yet" (Some 0)
-                (Json.get_int "sessions" h);
-              Alcotest.(check (option int)) "no stalls" (Some 0)
-                (Json.get_int "stalled" h);
-              (* Stall every fsync: with sync = Always the session create
-                 crosses the slow threshold inside the journal. *)
-              let trace = "e2e-stalled-create.1" in
-              Core.Vfs.set_stall vfs 0.12;
-              let code, _ =
-                req "POST" "/v1/sessions"
-                  ~headers:[ ("X-Learnq-Trace", trace) ]
-                  ~body:
-                    (Json.Obj
-                       [
-                         ("id", Json.Str "slowone");
-                         ("engine", Json.Str "twig");
-                         ("seed", Json.of_int 7);
-                         ("scale", Json.Num 0.02);
-                       ])
-              in
-              Core.Vfs.set_stall vfs 0.;
-              Alcotest.(check int) "stalled create still succeeds" 200 code;
-              (* /debug/slow names the request by its client-chosen trace. *)
-              let code, slow = req "GET" "/debug/slow" in
-              Alcotest.(check int) "debug/slow" 200 code;
-              let slow_traces =
-                match Json.mem "requests" slow with
-                | Some (Json.Arr l) ->
-                    List.filter_map (fun e -> Json.get_str "trace" e) l
-                | _ -> Alcotest.fail "debug/slow has no requests array"
-              in
-              Alcotest.(check bool) "slow ring holds the stalled request"
-                true
-                (List.mem trace slow_traces);
-              (* The flight recorder links the HTTP span to the journal
-                 fsync and the injected vfs stall across the domain hop. *)
-              let names =
-                List.map
-                  (fun e -> e.Core.Telemetry.Recorder.ev_name)
-                  (Core.Telemetry.Recorder.trace_events trace)
-              in
-              List.iter
-                (fun expected ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "trace links %s" expected)
-                    true (List.mem expected names))
-                [
-                  "http.request"; "serve.job"; "journal.fsync"; "vfs.stall";
-                  "http.slow";
-                ];
-              (* The dump endpoint serves the same events as Chrome-trace
-                 JSON, stall included. *)
-              let code, dump = req "GET" "/debug/flightrecorder" in
-              Alcotest.(check int) "flightrecorder" 200 code;
-              let dump_names =
-                match Json.mem "traceEvents" dump with
-                | Some (Json.Arr l) ->
-                    List.filter_map (fun e -> Json.get_str "name" e) l
-                | _ -> Alcotest.fail "dump has no traceEvents"
-              in
-              Alcotest.(check bool) "dump contains the vfs stall" true
-                (List.mem "vfs.stall" dump_names);
-              (* Error responses carry the trace id in the body. *)
-              let code, err =
-                req "GET" "/v1/sessions/nosuch"
-                  ~headers:[ ("X-Learnq-Trace", "e2e-err.7") ]
-              in
-              Alcotest.(check int) "unknown session" 404 code;
-              Alcotest.(check (option string)) "error body carries the trace"
-                (Some "e2e-err.7") (Json.get_str "trace" err);
-              (* A malformed inbound trace is replaced, not echoed. *)
-              let _, err2 =
-                req "GET" "/v1/sessions/nosuch"
-                  ~headers:[ ("X-Learnq-Trace", "bad trace!") ]
-              in
-              (match Json.get_str "trace" err2 with
-              | Some t when t <> "bad trace!" && t <> "" -> ()
-              | other ->
-                  Alcotest.failf "invalid trace echoed: %s"
-                    (Option.value ~default:"<none>" other));
-              (* /debug/sessions and /debug/tenants see the live session. *)
-              let code, ds = req "GET" "/debug/sessions" in
-              Alcotest.(check int) "debug/sessions" 200 code;
-              (match Json.mem "sessions" ds with
-              | Some (Json.Arr [ s ]) ->
-                  Alcotest.(check (option string)) "session id"
-                    (Some "slowone") (Json.get_str "id" s);
-                  Alcotest.(check (option string)) "session engine"
-                    (Some "twig") (Json.get_str "engine" s)
-              | _ -> Alcotest.fail "expected exactly one debug session");
-              let code, dt = req "GET" "/debug/tenants" in
-              Alcotest.(check int) "debug/tenants" 200 code;
-              (match Json.mem "tenants" dt with
-              | Some (Json.Arr l) ->
-                  Alcotest.(check bool) "anon tenant listed" true
-                    (List.exists
-                       (fun e -> Json.get_str "tenant" e = Some "anon")
-                       l)
-              | _ -> Alcotest.fail "debug/tenants has no tenants array");
-              (* /metrics appends the labeled, windowed series. *)
-              let code, m = req "GET" "/metrics" in
-              Alcotest.(check int) "metrics" 200 code;
-              let text = match m with Json.Str s -> s | _ -> "" in
-              let has needle =
-                let nn = String.length needle and hn = String.length text in
-                let rec go i =
-                  i + nn <= hn
-                  && (String.sub text i nn = needle || go (i + 1))
-                in
-                go 0
-              in
-              Alcotest.(check bool) "labeled request counter" true
-                (has "learnq_requests_total{");
-              Alcotest.(check bool) "windowed latency summary" true
-                (has "learnq_request_seconds{");
-              Alcotest.(check bool) "tenant label" true
-                (has "tenant=\"anon\"");
-              Alcotest.(check bool) "watchdog never tripped" true
-                (Server.Daemon.stalled daemon = 0))));
+          (* /healthz reports the liveness shape. *)
+          let code, h = req "GET" "/healthz" in
+          Alcotest.(check int) "healthz" 200 code;
+          Alcotest.(check (option bool)) "healthy" (Some true)
+            (Json.get_bool "ok" h);
+          Alcotest.(check (option bool)) "not draining" (Some false)
+            (Json.get_bool "draining" h);
+          Alcotest.(check (option bool)) "not degraded" (Some false)
+            (Json.get_bool "degraded" h);
+          Alcotest.(check (option int)) "no sessions yet" (Some 0)
+            (Json.get_int "sessions" h);
+          Alcotest.(check (option int)) "no stalls" (Some 0)
+            (Json.get_int "stalled" h);
+          (* Stall every fsync: with sync = Always the session create
+             crosses the slow threshold inside the journal. *)
+          let trace = "e2e-stalled-create.1" in
+          Core.Vfs.set_stall vfs 0.12;
+          let code, _ =
+            req "POST" "/v1/sessions"
+              ~headers:[ ("X-Learnq-Trace", trace) ]
+              ~body:
+                (Json.Obj
+                   [
+                     ("id", Json.Str "slowone");
+                     ("engine", Json.Str "twig");
+                     ("seed", Json.of_int 7);
+                     ("scale", Json.Num 0.02);
+                   ])
+          in
+          Core.Vfs.set_stall vfs 0.;
+          Alcotest.(check int) "stalled create still succeeds" 200 code;
+          (* /debug/slow names the request by its client-chosen trace. *)
+          let code, slow = req "GET" "/debug/slow" in
+          Alcotest.(check int) "debug/slow" 200 code;
+          let slow_traces =
+            match Json.mem "requests" slow with
+            | Some (Json.Arr l) ->
+                List.filter_map (fun e -> Json.get_str "trace" e) l
+            | _ -> Alcotest.fail "debug/slow has no requests array"
+          in
+          Alcotest.(check bool) "slow ring holds the stalled request"
+            true
+            (List.mem trace slow_traces);
+          (* The flight recorder links the HTTP span to the journal
+             fsync and the injected vfs stall across the domain hop. *)
+          let names =
+            List.map
+              (fun e -> e.Core.Telemetry.Recorder.ev_name)
+              (Core.Telemetry.Recorder.trace_events trace)
+          in
+          List.iter
+            (fun expected ->
+              Alcotest.(check bool)
+                (Printf.sprintf "trace links %s" expected)
+                true (List.mem expected names))
+            [
+              "http.request"; "serve.job"; "journal.fsync"; "vfs.stall";
+              "http.slow";
+            ];
+          (* The dump endpoint serves the same events as Chrome-trace
+             JSON, stall included. *)
+          let code, dump = req "GET" "/debug/flightrecorder" in
+          Alcotest.(check int) "flightrecorder" 200 code;
+          let dump_names =
+            match Json.mem "traceEvents" dump with
+            | Some (Json.Arr l) ->
+                List.filter_map (fun e -> Json.get_str "name" e) l
+            | _ -> Alcotest.fail "dump has no traceEvents"
+          in
+          Alcotest.(check bool) "dump contains the vfs stall" true
+            (List.mem "vfs.stall" dump_names);
+          (* Error responses carry the trace id in the body. *)
+          let code, err =
+            req "GET" "/v1/sessions/nosuch"
+              ~headers:[ ("X-Learnq-Trace", "e2e-err.7") ]
+          in
+          Alcotest.(check int) "unknown session" 404 code;
+          Alcotest.(check (option string)) "error body carries the trace"
+            (Some "e2e-err.7") (Json.get_str "trace" err);
+          (* A malformed inbound trace is replaced, not echoed. *)
+          let _, err2 =
+            req "GET" "/v1/sessions/nosuch"
+              ~headers:[ ("X-Learnq-Trace", "bad trace!") ]
+          in
+          (match Json.get_str "trace" err2 with
+          | Some t when t <> "bad trace!" && t <> "" -> ()
+          | other ->
+              Alcotest.failf "invalid trace echoed: %s"
+                (Option.value ~default:"<none>" other));
+          (* /debug/sessions and /debug/tenants see the live session. *)
+          let code, ds = req "GET" "/debug/sessions" in
+          Alcotest.(check int) "debug/sessions" 200 code;
+          (match Json.mem "sessions" ds with
+          | Some (Json.Arr [ s ]) ->
+              Alcotest.(check (option string)) "session id"
+                (Some "slowone") (Json.get_str "id" s);
+              Alcotest.(check (option string)) "session engine"
+                (Some "twig") (Json.get_str "engine" s)
+          | _ -> Alcotest.fail "expected exactly one debug session");
+          let code, dt = req "GET" "/debug/tenants" in
+          Alcotest.(check int) "debug/tenants" 200 code;
+          (match Json.mem "tenants" dt with
+          | Some (Json.Arr l) ->
+              Alcotest.(check bool) "anon tenant listed" true
+                (List.exists
+                   (fun e -> Json.get_str "tenant" e = Some "anon")
+                   l)
+          | _ -> Alcotest.fail "debug/tenants has no tenants array");
+          (* /metrics appends the labeled, windowed series. *)
+          let code, m = req "GET" "/metrics" in
+          Alcotest.(check int) "metrics" 200 code;
+          let text = match m with Json.Str s -> s | _ -> "" in
+          let has needle =
+            let nn = String.length needle and hn = String.length text in
+            let rec go i =
+              i + nn <= hn
+              && (String.sub text i nn = needle || go (i + 1))
+            in
+            go 0
+          in
+          Alcotest.(check bool) "labeled request counter" true
+            (has "learnq_requests_total{");
+          Alcotest.(check bool) "windowed latency summary" true
+            (has "learnq_request_seconds{");
+          Alcotest.(check bool) "tenant label" true
+            (has "tenant=\"anon\"");
+          Alcotest.(check bool) "watchdog never tripped" true
+            (Server.Daemon.stalled daemon = 0)));
   Core.Telemetry.reset ()
 
 (* The /debug surface can be turned off wholesale. *)
 let test_daemon_debug_endpoints_disableable () =
-  with_temp_dir (fun dir ->
-      let port_box = ref 0 in
-      let port_m = Mutex.create () in
-      let port_cv = Condition.create () in
-      let cfg =
-        {
-          Server.Daemon.default_config with
-          Server.Daemon.state_dir = dir;
-          port = 0;
-          pool = 1;
-          drain_grace = 2.0;
-          debug_endpoints = false;
-          on_listen =
-            (fun p ->
-              Mutex.lock port_m;
-              port_box := p;
-              Condition.broadcast port_cv;
-              Mutex.unlock port_m);
-        }
-      in
-      let daemon = Server.Daemon.create cfg in
-      let serve_result = ref (Ok ()) in
-      let server_thread =
-        Thread.create (fun () -> serve_result := Server.Daemon.serve daemon) ()
+  with_inprocess_daemon
+    (fun cfg -> { cfg with Server.Daemon.debug_endpoints = false })
+    (fun _ port ->
+      let c =
+        match Server.Client.connect ~host:"127.0.0.1" ~port with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "connect: %s" e
       in
       Fun.protect
-        ~finally:(fun () ->
-          Server.Daemon.drain daemon;
-          Thread.join server_thread;
-          match !serve_result with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "serve: %s" e)
+        ~finally:(fun () -> Server.Client.close c)
         (fun () ->
-          Mutex.lock port_m;
-          while !port_box = 0 do
-            Condition.wait port_cv port_m
-          done;
-          let port = !port_box in
-          Mutex.unlock port_m;
-          let c =
-            match Server.Client.connect ~host:"127.0.0.1" ~port with
-            | Ok c -> c
-            | Error e -> Alcotest.failf "connect: %s" e
-          in
-          Fun.protect
-            ~finally:(fun () -> Server.Client.close c)
-            (fun () ->
-              List.iter
-                (fun path ->
-                  match Server.Client.request c ~meth:"GET" ~path () with
-                  | Ok (code, _) ->
-                      Alcotest.(check int) (path ^ " hidden") 404 code
-                  | Error e -> Alcotest.failf "GET %s: %s" path e)
-                [
-                  "/debug/sessions"; "/debug/tenants"; "/debug/slow";
-                  "/debug/flightrecorder";
-                ])))
+          List.iter
+            (fun path ->
+              match Server.Client.request c ~meth:"GET" ~path () with
+              | Ok (code, _) ->
+                  Alcotest.(check int) (path ^ " hidden") 404 code
+              | Error e -> Alcotest.failf "GET %s: %s" path e)
+            [
+              "/debug/sessions"; "/debug/tenants"; "/debug/slow";
+              "/debug/flightrecorder";
+            ]))
+
+(* A request whose reconnect fails (the daemon is gone) must leave the
+   client owning its descriptor, so the caller's [close] cannot close a
+   descriptor number that another file has taken since. *)
+let test_client_close_after_failed_reconnect () =
+  with_inprocess_daemon Fun.id (fun daemon port ->
+      let c =
+        match Server.Client.connect ~host:"127.0.0.1" ~port with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "connect: %s" e
+      in
+      (match Server.Client.request c ~meth:"GET" ~path:"/healthz" () with
+      | Ok (200, _) -> ()
+      | _ -> Alcotest.fail "healthz");
+      Server.Daemon.drain daemon;
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec until_refused () =
+        match Server.Client.connect ~host:"127.0.0.1" ~port with
+        | Error _ -> ()
+        | Ok probe when Unix.gettimeofday () < deadline ->
+            Server.Client.close probe;
+            Thread.delay 0.05;
+            until_refused ()
+        | Ok _ -> Alcotest.fail "daemon still listening after drain"
+      in
+      until_refused ();
+      (match Server.Client.request c ~meth:"GET" ~path:"/healthz" () with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a drained daemon answered");
+      let pipes = List.init 32 (fun _ -> Unix.pipe ()) in
+      Server.Client.close c;
+      let open_fd fd =
+        match Unix.fstat fd with
+        | _ -> true
+        | exception Unix.Unix_error _ -> false
+      in
+      let intact = List.for_all (fun (r, w) -> open_fd r && open_fd w) pipes in
+      List.iter
+        (fun (r, w) ->
+          List.iter
+            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+            [ r; w ])
+        pipes;
+      Alcotest.(check bool) "close leaves other descriptors open" true intact)
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial clients against the multiplexer                         *)
 (* ------------------------------------------------------------------ *)
-
-let with_inprocess_daemon cfg_mod f =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  with_temp_dir (fun dir ->
-      let port_box = ref 0 in
-      let port_m = Mutex.create () in
-      let port_cv = Condition.create () in
-      let cfg =
-        cfg_mod
-          {
-            Server.Daemon.default_config with
-            Server.Daemon.state_dir = dir;
-            port = 0;
-            pool = 1;
-            drain_grace = 2.0;
-            on_listen =
-              (fun p ->
-                Mutex.lock port_m;
-                port_box := p;
-                Condition.broadcast port_cv;
-                Mutex.unlock port_m);
-          }
-      in
-      let daemon = Server.Daemon.create cfg in
-      let serve_result = ref (Ok ()) in
-      let server_thread =
-        Thread.create (fun () -> serve_result := Server.Daemon.serve daemon) ()
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Server.Daemon.drain daemon;
-          Thread.join server_thread;
-          match !serve_result with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "serve: %s" e)
-        (fun () ->
-          Mutex.lock port_m;
-          while !port_box = 0 do
-            Condition.wait port_cv port_m
-          done;
-          let port = !port_box in
-          Mutex.unlock port_m;
-          f daemon port))
 
 let raw_connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1474,6 +1360,8 @@ let () =
         [
           Alcotest.test_case "spec limits enforced" `Quick
             test_engines_spec_limits;
+          Alcotest.test_case "simulated user is keyed by the question" `Quick
+            test_engines_user_pure;
         ] );
       ( "stepper",
         [
@@ -1533,5 +1421,7 @@ let () =
             test_daemon_slow_loris_gets_408;
           Alcotest.test_case "200 idle conns, flat thread count" `Quick
             test_daemon_idle_herd_thread_bound;
+          Alcotest.test_case "client close after failed reconnect" `Quick
+            test_client_close_after_failed_reconnect;
         ] );
     ]
