@@ -1,11 +1,18 @@
-"""Fail unless each named key of a bench JSON file is exactly true.
+"""Fail unless a bench JSON file passes its gates.
 
 usage: python3 bench/gates.py FILE KEY MESSAGE [KEY MESSAGE ...]
+       python3 bench/gates.py FILE --drift BASELINE KEY FACTOR SLACK MESSAGE
 
-A KEY may be a dotted path into nested objects (journal.replay_ok).  The
-file is parsed as JSON, so compact and pretty-printed output gate alike.
-Each key that is missing or not the JSON literal true prints its MESSAGE;
-any failure then prints the file and exits 1.
+The first form: each named KEY must be exactly true.  A KEY may be a
+dotted path into nested objects (journal.replay_ok).  The file is parsed
+as JSON, so compact and pretty-printed output gate alike.  Each key that
+is missing or not the JSON literal true prints its MESSAGE.
+
+The second form compares FILE against a committed BASELINE file: the
+number at KEY must be at most FACTOR x the baseline's + SLACK.  It prints
+both numbers and the bound, and MESSAGE when the bound is broken.
+
+Any failure then prints the file and exits 1.
 """
 
 import json
@@ -20,18 +27,41 @@ def lookup(data, key):
     return data
 
 
-def main(argv):
-    if len(argv) < 4 or len(argv) % 2 != 0:
-        sys.exit(__doc__)
-    path, pairs = argv[1], argv[2:]
+def load(path):
     with open(path) as f:
         text = f.read()
-    data = json.loads(text)
-    failed = [
+    return text, json.loads(text)
+
+
+def true_gates(data, pairs):
+    return [
         msg
         for key, msg in zip(pairs[::2], pairs[1::2])
         if lookup(data, key) is not True
     ]
+
+
+def drift_gate(data, baseline_path, key, factor, slack, msg):
+    _, base = load(baseline_path)
+    new, old = lookup(data, key), lookup(base, key)
+    if not isinstance(new, (int, float)) or not isinstance(old, (int, float)):
+        return [f"{key}: not a number in both files; {msg}"]
+    allowed = float(factor) * old + float(slack)
+    print(f"{key}: baseline {old:.1f}, this run {new:.1f}, allowed {allowed:.1f}")
+    return [msg] if new > allowed else []
+
+
+def main(argv):
+    if len(argv) == 8 and argv[2] == "--drift":
+        path = argv[1]
+        text, data = load(path)
+        failed = drift_gate(data, *argv[3:])
+    elif len(argv) >= 4 and len(argv) % 2 == 0 and "--drift" not in argv:
+        path, pairs = argv[1], argv[2:]
+        text, data = load(path)
+        failed = true_gates(data, pairs)
+    else:
+        sys.exit(__doc__)
     for msg in failed:
         print(msg)
     if failed:

@@ -38,59 +38,25 @@ let now = Core.Monotonic.now
 (* In-process reference runs (and phase B)                             *)
 (* ------------------------------------------------------------------ *)
 
-let registry ?(vfs = Core.Vfs.real) ?(checkpoint_every = 0) ?(max_live = 0)
-    ~dir ~sync () =
-  Registry.create
-    {
-      Registry.dir;
-      sync;
-      tenants = Server.Tenant.make [];
-      step_fuel = None;
-      step_timeout = None;
-      vfs;
-      checkpoint_every;
-      max_live;
-      idle_evict_after = 0.;
-    }
-
-let drive_stepper st reply =
-  let rec go n =
-    let v = st.Stepper.view () in
-    if v.Stepper.done_ then (n, v.Stepper.query)
-    else
-      match v.Stepper.question with
-      | None -> (n, v.Stepper.query)
-      | Some key -> (
-          match st.Stepper.answer ~qid:v.Stepper.qid (reply key) with
-          | Ok _ -> go (n + 1)
-          | Error e ->
-              failwith
-                ("serve bench: stepper error: " ^ Core.Error.to_string e))
-  in
-  go 0
-
 (* Uninterrupted in-process runs: the ground truth for phase A's
    crash-equivalence gate, and the expected-answers count that places the
    kill point. *)
 let reference_runs sess =
   Util.with_temp_dir "learnq-serve-ref" (fun dir ->
-      let reg = registry ~dir ~sync:Core.Journal.Off () in
+      let reg = Registry.create (Registry.default_config dir) in
       Fun.protect
         ~finally:(fun () -> Registry.drain reg)
         (fun () ->
           List.map
             (fun (s : Loadgen.sess) ->
-              match
-                Registry.create_session reg ~tenant:s.tenant ~id:s.id s.spec
-              with
-              | Error e ->
-                  failwith ("serve bench: create: " ^ Core.Error.to_string e)
-              | Ok _ -> (
-                  match Registry.find reg ~tenant:s.tenant ~id:s.id with
-                  | None -> failwith "serve bench: session vanished"
-                  | Some st ->
-                      let answers, query = drive_stepper st s.reply in
-                      (s, answers, query)))
+              let st =
+                Util.ok_or_fail "serve bench: create"
+                  (Registry.create_session reg ~tenant:s.tenant ~id:s.id
+                     s.spec)
+              in
+              let keys, final = Stepper.drive st s.reply in
+              let v = Util.ok_or_fail "serve bench: stepper" final in
+              (s, List.length keys, v.Stepper.query))
             sess))
 
 (* ------------------------------------------------------------------ *)
@@ -242,7 +208,10 @@ let run_phase_a sess refs state_dir =
    whole multicore story on a single core. *)
 let run_pool_phase ~pool_size =
   Util.with_temp_dir "learnq-serve-pool" (fun dir ->
-      let reg = registry ~dir ~sync:Core.Journal.Always () in
+      let reg =
+        Registry.create
+          { (Registry.default_config dir) with sync = Core.Journal.Always }
+      in
       let steppers =
         List.init pool_sessions (fun i ->
             let spec =
@@ -255,41 +224,23 @@ let run_pool_phase ~pool_size =
               }
             in
             let truth =
-              match Engines.oracle spec ~goal:"highway*" with
-              | Ok f -> f
-              | Error e -> failwith (Core.Error.to_string e)
+              Util.ok_or_fail "serve bench: goal"
+                (Engines.oracle spec ~goal:"highway*")
             in
             let id = Printf.sprintf "p%02d" i in
-            (match
-               Registry.create_session reg ~tenant:"bench" ~id spec
-             with
-            | Ok _ -> ()
-            | Error e -> failwith (Core.Error.to_string e));
-            match Registry.find reg ~tenant:"bench" ~id with
-            | None -> failwith "serve bench: pool session vanished"
-            | Some st -> (st, truth))
+            ( Util.ok_or_fail "serve bench: create"
+                (Registry.create_session reg ~tenant:"bench" ~id spec),
+              fun key -> Core.Flaky.Label (truth key) ))
       in
       let pool = Core.Pool.create pool_size in
       (* A stride of answers per round keeps the map_list barrier (and the
          cross-domain GC synchronisation it implies on one core) amortised
-         over many fsyncs. *)
-      let one_stride (st, truth) =
-        let rec go n =
-          let v = st.Stepper.view () in
-          if v.Stepper.done_ then false
-          else if n = 0 then true
-          else
-            match v.Stepper.question with
-            | None -> false
-            | Some key -> (
-                match
-                  st.Stepper.answer ~qid:v.Stepper.qid
-                    (Core.Flaky.Label (truth key))
-                with
-                | Ok _ -> go (n - 1)
-                | Error e -> failwith (Core.Error.to_string e))
-        in
-        go pool_stride
+         over many fsyncs.  A session stays in the rounds while it has a
+         question open. *)
+      let one_stride (st, reply) =
+        let _, final = Stepper.drive ~stop_after:pool_stride st reply in
+        let v = Util.ok_or_fail "serve bench: stepper" final in
+        (not v.Stepper.done_) && v.Stepper.question <> None
       in
       let t0 = now () in
       let rec rounds live =

@@ -43,51 +43,29 @@ let soak_sessions_n =
 (* Plumbing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let registry ?(vfs = Core.Vfs.real) ?(checkpoint_every = 0) ?(max_live = 0)
-    ~dir ~sync () =
-  Registry.create
-    {
-      Registry.dir;
-      sync;
-      (* The soak parks hundreds of sessions behind the eviction window
-         under one tenant; only [max_live] are ever live, but admission
-         counts them all, so the quota must clear the fleet size. *)
-      tenants =
-        Server.Tenant.make
-          ~default:(Server.Tenant.quota ~max_sessions:10_000 ())
-          [];
-      step_fuel = None;
-      step_timeout = None;
-      vfs;
-      checkpoint_every;
-      max_live;
-      idle_evict_after = 0.;
-    }
-
 let truth_of spec goal =
-  match Engines.oracle spec ~goal with
-  | Ok f -> f
-  | Error e -> failwith ("storage bench: bad goal: " ^ Core.Error.to_string e)
+  Util.ok_or_fail "storage bench: bad goal" (Engines.oracle spec ~goal)
 
-(* Deliver up to [stop_after] replies from [client], retrying on injected
-   storage faults (the view is re-read each round, so a retry always
-   answers the current question).  Returns replies delivered and the
-   final query. *)
-let drive ?(stop_after = max_int) ?(fault_budget = 0) faults st client =
-  let rec go n budget =
-    let v = st.Stepper.view () in
-    if v.Stepper.done_ || n >= stop_after then (n, v.Stepper.query)
-    else
-      match v.Stepper.question with
-      | None -> (n, v.Stepper.query)
-      | Some key -> (
-          match st.Stepper.answer ~qid:v.Stepper.qid (client key) with
-          | Ok _ -> go (n + 1) budget
-          | Error (Core.Error.Storage _) when budget > 0 ->
-              incr faults;
-              go n (budget - 1)
-          | Error e ->
-              failwith ("storage bench: answer: " ^ Core.Error.to_string e))
+(* Replies delivered by one drive; a stepper error fails the bench. *)
+let drive ?stop_after st reply =
+  let keys, final = Stepper.drive ?stop_after st reply in
+  (List.length keys, Util.ok_or_fail "storage bench: answer" final)
+
+(* [drive], retrying injected storage faults up to [fault_budget] times
+   (counted in [faults]).  A retry drives again from a fresh view, so it
+   answers the current question. *)
+let drive_retrying ~stop_after ~fault_budget faults st reply =
+  let rec go delivered budget =
+    let keys, final =
+      Stepper.drive ~stop_after:(stop_after - delivered) st reply
+    in
+    let delivered = delivered + List.length keys in
+    match final with
+    | Ok _ -> delivered
+    | Error (Core.Error.Storage _) when budget > 0 ->
+        incr faults;
+        go delivered (budget - 1)
+    | Error _ as e -> Util.ok_or_fail "storage bench: answer" e
   in
   go 0 fault_budget
 
@@ -116,14 +94,9 @@ let journal_path dir =
 let refusal_cycles = 400
 let refusals_per_cycle = 20
 
-let recover_one ~dir ~sync =
-  let reg = registry ~dir ~sync () in
-  let pool = Core.Pool.create 1 in
-  let recovered, errors =
-    Fun.protect
-      ~finally:(fun () -> Core.Pool.shutdown pool)
-      (fun () -> Registry.recover_all reg ~pool)
-  in
+let recover_one dir =
+  let reg = Registry.create (Registry.default_config dir) in
+  let recovered, errors = Registry.recover_all reg in
   (match errors with
   | [] -> ()
   | (f, e) :: _ ->
@@ -133,26 +106,24 @@ let recover_one ~dir ~sync =
   if recovered <> 1 then failwith "storage bench: session lost";
   reg
 
-let build_long_session ~dir spec truth =
-  let sync = Core.Journal.Off in
-  let reg = ref (registry ~dir ~sync ()) in
-  (match Registry.create_session !reg ~tenant:"bench" ~id:"long" spec with
-  | Ok _ -> ()
-  | Error e -> failwith (Core.Error.to_string e));
+let build_long_session dir spec truth =
+  let reg = ref (Registry.create (Registry.default_config dir)) in
+  ignore
+    (Util.ok_or_fail "storage bench: create"
+       (Registry.create_session !reg ~tenant:"bench" ~id:"long" spec));
   let delivered = ref 0 in
   for _ = 1 to refusal_cycles do
     let st = Option.get (Registry.find !reg ~tenant:"bench" ~id:"long") in
     let n, _ =
-      drive ~stop_after:refusals_per_cycle (ref 0) st (fun _ ->
-          Core.Flaky.Refused)
+      drive ~stop_after:refusals_per_cycle st (fun _ -> Core.Flaky.Refused)
     in
     delivered := !delivered + n;
     Registry.drain !reg;
-    reg := recover_one ~dir ~sync
+    reg := recover_one dir
   done;
   (* A patient labeler finally finishes the session. *)
   let st = Option.get (Registry.find !reg ~tenant:"bench" ~id:"long") in
-  let n, _ = drive (ref 0) st (fun key -> Core.Flaky.Label (truth key)) in
+  let n, _ = drive st (fun key -> Core.Flaky.Label (truth key)) in
   delivered := !delivered + n;
   Registry.drain !reg;
   !delivered
@@ -171,9 +142,9 @@ type part_a = {
 (* Time the resume-on-demand path — a fresh registry resurrecting the
    session straight from its journal, exactly what a request hitting an
    evicted key pays.  Best of [trials]. *)
-let time_resume ~dir ~sync =
+let time_resume dir =
   List.init trials (fun _ ->
-      let reg = registry ~dir ~sync () in
+      let reg = Registry.create (Registry.default_config dir) in
       let t0 = now () in
       (match Registry.find_or_resume reg ~tenant:"bench" ~id:"long" with
       | Ok (Some _) -> ()
@@ -193,17 +164,16 @@ let run_part_a () =
   in
   let truth = truth_of spec "highway*" in
   Util.with_temp_dir "learnq-pr7-ck" (fun dir ->
-      let sync = Core.Journal.Off in
-      let answers = build_long_session ~dir spec truth in
+      let answers = build_long_session dir spec truth in
       if answers < long_min_answers then
         failwith
           (Printf.sprintf
              "storage bench: long session delivered only %d replies" answers);
       let jp = journal_path dir in
       let bytes_before = (Unix.stat jp).Unix.st_size in
-      let full_ms = 1000. *. time_resume ~dir ~sync in
+      let full_ms = 1000. *. time_resume dir in
       (* Checkpoint + compact through the stepper (the eviction path). *)
-      let reg = registry ~dir ~sync () in
+      let reg = Registry.create (Registry.default_config dir) in
       (match Registry.find_or_resume reg ~tenant:"bench" ~id:"long" with
       | Ok (Some st) -> (
           match st.Stepper.checkpoint () with
@@ -215,7 +185,7 @@ let run_part_a () =
       | Error e -> failwith (Core.Error.to_string e));
       Registry.drain reg;
       let bytes_after = (Unix.stat jp).Unix.st_size in
-      let ck_ms = 1000. *. time_resume ~dir ~sync in
+      let ck_ms = 1000. *. time_resume dir in
       {
         a_answers = answers;
         a_records = 2 * answers;
@@ -241,23 +211,25 @@ let run_part_b () =
   let sess = mixed_sessions evict_sessions_n in
   Util.with_temp_dir "learnq-pr7-evict" (fun dir ->
       let reg =
-        registry ~checkpoint_every:4 ~max_live:evict_window ~dir
-          ~sync:Core.Journal.Always ()
+        Registry.create
+          {
+            (Registry.default_config dir) with
+            sync = Core.Journal.Always;
+            checkpoint_every = 4;
+            max_live = evict_window;
+          }
       in
       Fun.protect
         ~finally:(fun () -> Registry.drain reg)
         (fun () ->
           List.iter
             (fun (s : Loadgen.sess) ->
-              (match
-                 Registry.create_session reg ~tenant:s.tenant ~id:s.id s.spec
-               with
-              | Ok _ -> ()
-              | Error e -> failwith (Core.Error.to_string e));
               let st =
-                Option.get (Registry.find reg ~tenant:s.tenant ~id:s.id)
+                Util.ok_or_fail "storage bench: create"
+                  (Registry.create_session reg ~tenant:s.tenant ~id:s.id
+                     s.spec)
               in
-              ignore (drive ~stop_after:4 (ref 0) st s.reply);
+              ignore (drive ~stop_after:4 st s.reply);
               ignore (Registry.evict_idle reg))
             sess;
           (* Everything beyond the window is now cold: resume each one. *)
@@ -306,25 +278,33 @@ let soak_dir f =
 
 let run_soak () =
   let sess = mixed_sessions soak_sessions_n in
+  (* The whole fleet lives under one tenant, and the reference (and each
+     recovery) holds all of it live at once, so the quota must clear the
+     fleet size. *)
+  let tenants =
+    Server.Tenant.make
+      ~default:(Server.Tenant.quota ~max_sessions:10_000 ())
+      []
+  in
   (* Uninterrupted reference: the answers each session takes and the query
      every chaos run must converge to. *)
   let refs =
     Util.with_temp_dir "learnq-pr7-soak-ref" (fun dir ->
-        let reg = registry ~dir ~sync:Core.Journal.Off () in
+        let reg =
+          Registry.create { (Registry.default_config dir) with tenants }
+        in
         Fun.protect
           ~finally:(fun () -> Registry.drain reg)
           (fun () ->
             List.map
               (fun (s : Loadgen.sess) ->
-                (match
-                   Registry.create_session reg ~tenant:s.tenant ~id:s.id s.spec
-                 with
-                | Ok _ -> ()
-                | Error e -> failwith (Core.Error.to_string e));
                 let st =
-                  Option.get (Registry.find reg ~tenant:s.tenant ~id:s.id)
+                  Util.ok_or_fail "storage bench: create"
+                    (Registry.create_session reg ~tenant:s.tenant ~id:s.id
+                       s.spec)
                 in
-                drive (ref 0) st s.reply)
+                let n, v = drive st s.reply in
+                (n, v.Stepper.query))
               sess))
   in
   let expected_answers = List.fold_left (fun t (n, _) -> t + n) 0 refs in
@@ -335,8 +315,15 @@ let run_soak () =
              ())
       in
       let fresh () =
-        registry ~vfs ~checkpoint_every:4 ~max_live:soak_window ~dir
-          ~sync:Core.Journal.Always ()
+        Registry.create
+          {
+            (Registry.default_config dir) with
+            sync = Core.Journal.Always;
+            tenants;
+            vfs;
+            checkpoint_every = 4;
+            max_live = soak_window;
+          }
       in
       let reg = ref (fresh ()) in
       let quarantined = ref 0 in
@@ -423,9 +410,9 @@ let run_soak () =
                             failwith "storage bench: session lost mid-soak"
                         | Error e -> Error e)
                   in
-                  let n, _ =
-                    drive ~stop_after:soak_stride ~fault_budget:100 retried st
-                      s.reply
+                  let n =
+                    drive_retrying ~stop_after:soak_stride ~fault_budget:100
+                      retried st s.reply
                   in
                   answers := !answers + n;
                   ignore (Registry.evict_idle !reg);

@@ -10,6 +10,11 @@ let median xs =
   let a = List.sort compare xs in
   List.nth a (List.length a / 2)
 
+(* The value of [r], or a bench failure naming [what] and the error. *)
+let ok_or_fail what = function
+  | Ok v -> v
+  | Error e -> failwith (what ^ ": " ^ Core.Error.to_string e)
+
 (* Nearest-rank percentile of an ascending array; 0 when empty. *)
 let percentile sorted p =
   let n = Array.length sorted in

@@ -18,22 +18,36 @@ let set_context kvs =
 
 (* The source revision, probed once at first export: a telemetry file names
    the code that produced it.  Failure (no git, no repo) degrades to
-   "unknown" rather than an exception — exporters run inside at_exit. *)
-let git_describe =
-  lazy
-    (try
-       let ic =
-         Unix.open_process_in "git describe --always --dirty 2>/dev/null"
-       in
-       let line = try input_line ic with End_of_file -> "" in
-       match Unix.close_process_in ic with
-       | Unix.WEXITED 0 when line <> "" -> line
-       | _ -> "unknown"
-     with _ -> "unknown")
+   "unknown" rather than an exception — exporters run inside at_exit.  The
+   probe runs under a mutex, not in a [lazy]: the first /metrics scrapes
+   of a fresh daemon arrive together on mux threads, and a second thread
+   forcing a lazy while the `git describe` child runs would raise
+   [CamlinternalLazy.Undefined]. *)
+let revision = ref None
+let revision_mu = Mutex.create ()
+
+let git_describe () =
+  Mutex.protect revision_mu (fun () ->
+      match !revision with
+      | Some r -> r
+      | None ->
+          let r =
+            try
+              let ic =
+                Unix.open_process_in
+                  "git describe --always --dirty 2>/dev/null"
+              in
+              let line = try input_line ic with End_of_file -> "" in
+              match Unix.close_process_in ic with
+              | Unix.WEXITED 0 when line <> "" -> line
+              | _ -> "unknown"
+            with _ -> "unknown"
+          in
+          revision := Some r;
+          r)
 
 let context () =
-  if List.mem_assoc "git" !ctx then !ctx
-  else ("git", Lazy.force git_describe) :: !ctx
+  if List.mem_assoc "git" !ctx then !ctx else ("git", git_describe ()) :: !ctx
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -816,7 +830,11 @@ module Log = struct
   let set_level l = current := l
   let level () = !current
   let set_formatter f = ppf := f
-  let epoch = lazy (Monotonic.now ())
+
+  (* Built at startup, not on first use: pool domains log too (budget and
+     session warnings), and two first loggers forcing a lazy at once would
+     raise [CamlinternalLazy.Undefined]. *)
+  let epoch = Monotonic.now ()
 
   let emit l kv msg =
     (* Correlate with the active span and with the request being served:
@@ -835,7 +853,7 @@ module Log = struct
            kv)
     in
     Format.fprintf !ppf "learnq: [%7.3f %-5s] %s%s@."
-      (Monotonic.now () -. Lazy.force epoch)
+      (Monotonic.now () -. epoch)
       (fst (List.find (fun (_, x) -> x = l) levels))
       msg kvs
 

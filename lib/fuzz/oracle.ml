@@ -1056,39 +1056,22 @@ let serve_client c truth =
   Server.Engines.user c.sc_spec ~truth ~refusal:c.sc_refusal
     ~timeout:c.sc_timeout ~noise:c.sc_noise
 
-let serve_registry ?(vfs = Core.Vfs.real) ?(checkpoint_every = 0)
-    ?(max_live = 0) ~dir ~sync () =
-  Server.Registry.create
-    {
-      Server.Registry.dir;
-      sync;
-      tenants = Server.Tenant.make [];
-      step_fuel = None;
-      step_timeout = None;
-      vfs;
-      checkpoint_every;
-      max_live;
-      idle_evict_after = 0.;
-    }
+(* Answer with [client] until the session finishes or [stop_after] answers
+   are in; returns the questions answered (codec keys, in order) and the
+   final query.  A stepper error fails the oracle. *)
+let drive ?stop_after st client =
+  match Server.Stepper.drive ?stop_after st client with
+  | keys, Ok v -> Ok (keys, v.Server.Stepper.query)
+  | keys, Error e ->
+      failf "stepper rejected the answer after %d: %s" (List.length keys)
+        (Core.Error.to_string e)
 
-(* Answer questions until the session finishes or [stop_after] answers
-   have been delivered; returns the questions answered (codec keys, in
-   order) and the final query. *)
-let serve_drive ?(stop_after = max_int) stepper client =
-  let rec go n keys =
-    let v = stepper.Server.Stepper.view () in
-    match v.Server.Stepper.question with
-    | Some key when (not v.Server.Stepper.done_) && n < stop_after -> (
-        match
-          stepper.Server.Stepper.answer ~qid:v.Server.Stepper.qid (client key)
-        with
-        | Ok _ -> go (n + 1) (key :: keys)
-        | Error e ->
-            failf "stepper rejected answer %d for %s: %s" v.Server.Stepper.qid
-              key (Core.Error.to_string e))
-    | _ -> Ok (List.rev keys, v.Server.Stepper.query)
-  in
-  go 0 []
+let create_and_drive ?stop_after reg c client =
+  match
+    Server.Registry.create_session reg ~tenant:"fuzz" ~id:"s" c.sc_spec
+  with
+  | Error e -> failf "create: %s" (Core.Error.to_string e)
+  | Ok st -> drive ?stop_after st client
 
 let check_server_crash_resume ?(checkpoint_every = 0) c =
   match Server.Engines.oracle c.sc_spec ~goal:c.sc_goal with
@@ -1098,51 +1081,37 @@ let check_server_crash_resume ?(checkpoint_every = 0) c =
       (* Reference: one registry, never interrupted, never compacted. *)
       let reference =
         with_temp_dir "learnq-fuzz-serve-ref" (fun dir ->
-            let reg = serve_registry ~dir ~sync:Core.Journal.Off () in
+            let reg =
+              Server.Registry.create (Server.Registry.default_config dir)
+            in
             Fun.protect
               ~finally:(fun () -> Server.Registry.drain reg)
-              (fun () ->
-                match
-                  Server.Registry.create_session reg ~tenant:"fuzz" ~id:"s"
-                    c.sc_spec
-                with
-                | Error e -> failf "create: %s" (Core.Error.to_string e)
-                | Ok _ -> (
-                    match Server.Registry.find reg ~tenant:"fuzz" ~id:"s" with
-                    | None -> failf "session vanished after create"
-                    | Some st -> serve_drive st client)))
+              (fun () -> create_and_drive reg c client))
       in
       match reference with
       | Error _ as e -> e
       | Ok (_, ref_query) ->
           with_temp_dir "learnq-fuzz-serve" (fun dir ->
-              (* Phase 1: crash after [k] answers. *)
-              let reg1 = serve_registry ~checkpoint_every ~dir ~sync:c.sc_sync () in
-              let phase1 =
-                match
-                  Server.Registry.create_session reg1 ~tenant:"fuzz" ~id:"s"
-                    c.sc_spec
-                with
-                | Error e -> failf "create: %s" (Core.Error.to_string e)
-                | Ok _ -> (
-                    match Server.Registry.find reg1 ~tenant:"fuzz" ~id:"s" with
-                    | None -> failf "session vanished after create"
-                    | Some st ->
-                        serve_drive ~stop_after:c.sc_crash_after st client)
+              let registry () =
+                Server.Registry.create
+                  {
+                    (Server.Registry.default_config dir) with
+                    sync = c.sc_sync;
+                    checkpoint_every;
+                  }
               in
-              match phase1 with
+              (* Phase 1: crash after [k] answers. *)
+              let reg1 = registry () in
+              match
+                create_and_drive ~stop_after:c.sc_crash_after reg1 c client
+              with
               | Error _ as e -> e
               | Ok _ -> (
                   Server.Registry.crash reg1;
                   (* Phase 2: a fresh registry recovers the directory and
                      finishes the session. *)
-                  let reg2 = serve_registry ~checkpoint_every ~dir ~sync:c.sc_sync () in
-                  let pool = Core.Pool.create 1 in
-                  let recovered, errors =
-                    Fun.protect
-                      ~finally:(fun () -> Core.Pool.shutdown pool)
-                      (fun () -> Server.Registry.recover_all reg2 ~pool)
-                  in
+                  let reg2 = registry () in
+                  let recovered, errors = Server.Registry.recover_all reg2 in
                   match errors with
                   | (f, e) :: _ ->
                       failf "recovery of %s failed: %s" f
@@ -1159,7 +1128,7 @@ let check_server_crash_resume ?(checkpoint_every = 0) c =
                             with
                             | None -> failf "recovered session not findable"
                             | Some st -> (
-                                match serve_drive st client with
+                                match drive st client with
                                 | Error _ as e -> e
                                 | Ok (_, resumed_query) ->
                                     if resumed_query = ref_query then Ok ()
@@ -1174,6 +1143,82 @@ let check_server_crash_resume ?(checkpoint_every = 0) c =
                                         (Option.value ~default:"<none>"
                                            resumed_query))))))
 
+(* The serve oracles' one case generator, shrinker and printer.  The
+   generator runs in two steps, the session and then the faults, because
+   the checkpoint oracle draws its interval between them.  Draws are
+   sequenced explicitly, in the order the oracles' case streams have
+   always used (test_fuzz pins them by digest); [crash:false] draws no
+   crash point, for an oracle that never crashes. *)
+let gen_serve_session g ~size =
+  let engine = Prng.pick g [ "twig"; "join"; "path" ] in
+  let cities = Prng.int_in g 5 8 in
+  let rows = Prng.int_in g 4 7 in
+  let seed = Prng.int g 1_000_000 in
+  let spec =
+    {
+      Server.Engines.engine;
+      seed;
+      scale = 0.02 +. (0.002 *. float_of_int (min 20 size));
+      rows;
+      cities;
+    }
+  in
+  let goal =
+    match engine with
+    | "twig" -> Prng.pick g [ "//item"; "//person/name"; "//keyword" ]
+    | "join" -> "planted"
+    | _ -> Prng.pick g [ "highway*"; "road highway*"; "ferry?road*" ]
+  in
+  (spec, goal)
+
+let gen_serve_case ?(crash = true) g (sc_spec, sc_goal) =
+  let sc_sync = Prng.pick g [ Core.Journal.Always; Core.Journal.Batch ] in
+  let sc_timeout = Prng.int g 100 in
+  let sc_refusal = Prng.int g 200 in
+  let sc_noise = Prng.int g 150 in
+  let sc_crash_after = if crash then Prng.int g 25 else 0 in
+  {
+    sc_spec;
+    sc_goal;
+    sc_crash_after;
+    sc_noise;
+    sc_refusal;
+    sc_timeout;
+    sc_sync;
+  }
+
+let serve_candidates c =
+  List.concat
+    [
+      (if c.sc_crash_after > 0 then
+         [ { c with sc_crash_after = c.sc_crash_after / 2 } ]
+       else []);
+      (if c.sc_noise > 0 then [ { c with sc_noise = 0 } ] else []);
+      (if c.sc_refusal > 0 then [ { c with sc_refusal = 0 } ] else []);
+      (if c.sc_timeout > 0 then [ { c with sc_timeout = 0 } ] else []);
+      (if c.sc_sync <> Core.Journal.Always then
+         [ { c with sc_sync = Core.Journal.Always } ]
+       else []);
+    ]
+
+let print_serve_case ?(crash = true) ?checkpoint_every c =
+  Printf.sprintf
+    "spec: %s\ngoal: %s\n%s%snoise/refusal/timeout: %d/%d/%d permille\n\
+     sync: %s"
+    (Server.Engines.config_of_spec c.sc_spec)
+    c.sc_goal
+    (if crash then Printf.sprintf "crash_after: %d\n" c.sc_crash_after
+     else "")
+    (match checkpoint_every with
+    | Some k -> Printf.sprintf "checkpoint_every: %d\n" k
+    | None -> "")
+    c.sc_noise c.sc_refusal c.sc_timeout
+    (Core.Journal.sync_to_string c.sc_sync)
+
+let serve_size c =
+  c.sc_crash_after + c.sc_spec.Server.Engines.rows
+  + c.sc_spec.Server.Engines.cities
+
 let server_crash_resume =
   Spec
     { name = "server-crash-resume";
@@ -1181,60 +1226,11 @@ let server_crash_resume =
         "a session server killed after k answers recovers from its journals \
          to the same learned query";
       generate =
-        (fun g ~size ->
-          let engine = Prng.pick g [ "twig"; "join"; "path" ] in
-          let spec =
-            {
-              Server.Engines.engine;
-              seed = Prng.int g 1_000_000;
-              scale = 0.02 +. (0.002 *. float_of_int (min 20 size));
-              rows = Prng.int_in g 4 7;
-              cities = Prng.int_in g 5 8;
-            }
-          in
-          let goal =
-            match engine with
-            | "twig" -> Prng.pick g [ "//item"; "//person/name"; "//keyword" ]
-            | "join" -> "planted"
-            | _ -> Prng.pick g [ "highway*"; "road highway*"; "ferry?road*" ]
-          in
-          {
-            sc_spec = spec;
-            sc_goal = goal;
-            sc_crash_after = Prng.int g 25;
-            sc_noise = Prng.int g 150;
-            sc_refusal = Prng.int g 200;
-            sc_timeout = Prng.int g 100;
-            sc_sync = Prng.pick g [ Core.Journal.Always; Core.Journal.Batch ];
-          });
+        (fun g ~size -> gen_serve_case g (gen_serve_session g ~size));
       check = (fun c -> check_server_crash_resume c);
-      candidates =
-        (fun c ->
-          let halve n = n / 2 in
-          List.concat
-            [
-              (if c.sc_crash_after > 0 then
-                 [ { c with sc_crash_after = halve c.sc_crash_after } ]
-               else []);
-              (if c.sc_noise > 0 then [ { c with sc_noise = 0 } ] else []);
-              (if c.sc_refusal > 0 then [ { c with sc_refusal = 0 } ] else []);
-              (if c.sc_timeout > 0 then [ { c with sc_timeout = 0 } ] else []);
-              (if c.sc_sync <> Core.Journal.Always then
-                 [ { c with sc_sync = Core.Journal.Always } ]
-               else []);
-            ]);
-      print =
-        (fun c ->
-          Printf.sprintf
-            "spec: %s\ngoal: %s\ncrash_after: %d\nnoise/refusal/timeout: \
-             %d/%d/%d permille\nsync: %s"
-            (Server.Engines.config_of_spec c.sc_spec)
-            c.sc_goal c.sc_crash_after c.sc_noise c.sc_refusal c.sc_timeout
-            (Core.Journal.sync_to_string c.sc_sync));
-      size_of =
-        (fun c ->
-          c.sc_crash_after + c.sc_spec.Server.Engines.rows
-          + c.sc_spec.Server.Engines.cities);
+      candidates = serve_candidates;
+      print = (fun c -> print_serve_case c);
+      size_of = serve_size;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -1257,73 +1253,19 @@ let journal_checkpoint_resume =
          resumes from the snapshot to the same learned query";
       generate =
         (fun g ~size ->
-          let engine = Prng.pick g [ "twig"; "join"; "path" ] in
-          let spec =
-            {
-              Server.Engines.engine;
-              seed = Prng.int g 1_000_000;
-              scale = 0.02 +. (0.002 *. float_of_int (min 20 size));
-              rows = Prng.int_in g 4 7;
-              cities = Prng.int_in g 5 8;
-            }
-          in
-          let goal =
-            match engine with
-            | "twig" -> Prng.pick g [ "//item"; "//person/name"; "//keyword" ]
-            | "join" -> "planted"
-            | _ -> Prng.pick g [ "highway*"; "road highway*"; "ferry?road*" ]
-          in
-          {
-            ck_base =
-              {
-                sc_spec = spec;
-                sc_goal = goal;
-                sc_crash_after = Prng.int g 25;
-                sc_noise = Prng.int g 150;
-                sc_refusal = Prng.int g 200;
-                sc_timeout = Prng.int g 100;
-                sc_sync =
-                  Prng.pick g [ Core.Journal.Always; Core.Journal.Batch ];
-              };
-            ck_every = Prng.int_in g 1 5;
-          });
+          let session = gen_serve_session g ~size in
+          let ck_every = Prng.int_in g 1 5 in
+          { ck_base = gen_serve_case g session; ck_every });
       check =
         (fun c ->
           check_server_crash_resume ~checkpoint_every:c.ck_every c.ck_base);
       candidates =
         (fun c ->
-          let b = c.ck_base in
-          List.concat
-            [
-              (if b.sc_crash_after > 0 then
-                 [ { c with
-                     ck_base = { b with sc_crash_after = b.sc_crash_after / 2 }
-                   } ]
-               else []);
-              (if b.sc_noise > 0 then
-                 [ { c with ck_base = { b with sc_noise = 0 } } ]
-               else []);
-              (if b.sc_refusal > 0 then
-                 [ { c with ck_base = { b with sc_refusal = 0 } } ]
-               else []);
-              (if b.sc_timeout > 0 then
-                 [ { c with ck_base = { b with sc_timeout = 0 } } ]
-               else []);
-              (if c.ck_every > 1 then [ { c with ck_every = 1 } ] else []);
-            ]);
+          List.map (fun b -> { c with ck_base = b }) (serve_candidates c.ck_base)
+          @ if c.ck_every > 1 then [ { c with ck_every = 1 } ] else []);
       print =
-        (fun c ->
-          Printf.sprintf
-            "spec: %s\ngoal: %s\ncrash_after: %d\ncheckpoint_every: %d\n\
-             noise/refusal/timeout: %d/%d/%d permille\nsync: %s"
-            (Server.Engines.config_of_spec c.ck_base.sc_spec)
-            c.ck_base.sc_goal c.ck_base.sc_crash_after c.ck_every
-            c.ck_base.sc_noise c.ck_base.sc_refusal c.ck_base.sc_timeout
-            (Core.Journal.sync_to_string c.ck_base.sc_sync));
-      size_of =
-        (fun c ->
-          c.ck_base.sc_crash_after + c.ck_base.sc_spec.Server.Engines.rows
-          + c.ck_base.sc_spec.Server.Engines.cities);
+        (fun c -> print_serve_case ~checkpoint_every:c.ck_every c.ck_base);
+      size_of = (fun c -> serve_size c.ck_base);
     }
 
 (* ------------------------------------------------------------------ *)
@@ -1484,17 +1426,11 @@ let vfs_torn_write =
    (question transcript, final query, raw journal bytes). *)
 let tt_run c client ~observe =
   with_temp_dir "learnq-fuzz-tt" (fun dir ->
-      let reg = serve_registry ~dir ~sync:c.sc_sync () in
-      let body () =
-        match
-          Server.Registry.create_session reg ~tenant:"fuzz" ~id:"s" c.sc_spec
-        with
-        | Error e -> failf "create: %s" (Core.Error.to_string e)
-        | Ok _ -> (
-            match Server.Registry.find reg ~tenant:"fuzz" ~id:"s" with
-            | None -> failf "session vanished after create"
-            | Some st -> serve_drive st client)
+      let reg =
+        Server.Registry.create
+          { (Server.Registry.default_config dir) with sync = c.sc_sync }
       in
+      let body () = create_and_drive reg c client in
       let driven =
         Fun.protect
           ~finally:(fun () -> Server.Registry.drain reg)
@@ -1551,54 +1487,11 @@ let telemetry_transparency =
          everything off";
       generate =
         (fun g ~size ->
-          let engine = Prng.pick g [ "twig"; "join"; "path" ] in
-          let spec =
-            {
-              Server.Engines.engine;
-              seed = Prng.int g 1_000_000;
-              scale = 0.02 +. (0.002 *. float_of_int (min 20 size));
-              rows = Prng.int_in g 4 7;
-              cities = Prng.int_in g 5 8;
-            }
-          in
-          let goal =
-            match engine with
-            | "twig" -> Prng.pick g [ "//item"; "//person/name"; "//keyword" ]
-            | "join" -> "planted"
-            | _ -> Prng.pick g [ "highway*"; "road highway*"; "ferry?road*" ]
-          in
-          {
-            sc_spec = spec;
-            sc_goal = goal;
-            sc_crash_after = 0;
-            sc_noise = Prng.int g 150;
-            sc_refusal = Prng.int g 200;
-            sc_timeout = Prng.int g 100;
-            sc_sync = Prng.pick g [ Core.Journal.Always; Core.Journal.Batch ];
-          });
+          gen_serve_case ~crash:false g (gen_serve_session g ~size));
       check = check_telemetry_transparency;
-      candidates =
-        (fun c ->
-          List.concat
-            [
-              (if c.sc_noise > 0 then [ { c with sc_noise = 0 } ] else []);
-              (if c.sc_refusal > 0 then [ { c with sc_refusal = 0 } ] else []);
-              (if c.sc_timeout > 0 then [ { c with sc_timeout = 0 } ] else []);
-              (if c.sc_sync <> Core.Journal.Always then
-                 [ { c with sc_sync = Core.Journal.Always } ]
-               else []);
-            ]);
-      print =
-        (fun c ->
-          Printf.sprintf
-            "spec: %s\ngoal: %s\nnoise/refusal/timeout: %d/%d/%d permille\n\
-             sync: %s"
-            (Server.Engines.config_of_spec c.sc_spec)
-            c.sc_goal c.sc_noise c.sc_refusal c.sc_timeout
-            (Core.Journal.sync_to_string c.sc_sync));
-      size_of =
-        (fun c ->
-          c.sc_spec.Server.Engines.rows + c.sc_spec.Server.Engines.cities);
+      candidates = serve_candidates;
+      print = print_serve_case ~crash:false;
+      size_of = serve_size;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -1723,11 +1616,11 @@ let all =
 
 let find n = List.find_opt (fun o -> name o = n) all
 
-(* Oracles that flip the process-global telemetry mode or boot the
-   in-process daemon cannot overlap other oracles without perturbing them;
-   the parallel runner keeps these on the calling domain.  Everything else
-   confines its state to locals, unique temp files, or Domain.DLS
-   caches. *)
-let serial_names = [ "telemetry-transparency"; "server-crash-resume" ]
+(* An oracle that flips the process-global telemetry mode cannot overlap
+   other oracles without perturbing them; the parallel runner keeps it on
+   the calling domain.  Everything else confines its state to locals,
+   unique temp files (the server oracles drive a registry in a temp dir of
+   their own), or Domain.DLS caches. *)
+let serial_names = [ "telemetry-transparency" ]
 
 let serial o = List.mem (name o) serial_names

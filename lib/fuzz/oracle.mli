@@ -33,7 +33,7 @@ val all : t list
 val find : string -> t option
 
 val serial : t -> bool
-(** Oracles that mutate process-global state (the telemetry mode, the
-    in-process daemon) and therefore must not run concurrently with other
-    oracles.  The parallel {!Runner} pins these to the calling domain;
-    everything else may run on pool workers. *)
+(** Oracles that mutate process-global state (the telemetry mode) and
+    therefore must not run concurrently with other oracles.  The parallel
+    {!Runner} pins these to the calling domain; everything else may run on
+    pool workers. *)

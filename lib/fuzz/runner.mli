@@ -45,8 +45,8 @@ val run :
     sequential mode, and each oracle's state is confined to locals,
     unique temp files, and domain-local caches, so every oracle sees the
     same cases at every job count; {!Oracle.serial} oracles (which flip
-    the telemetry mode or boot the daemon) run on the calling domain
-    after the parallel batch.  Stats stay in input oracle order.  Under a
+    the telemetry mode) run on the calling domain after the parallel
+    batch.  Stats stay in input oracle order.  Under a
     budget, sequential mode stops scheduling oracles when fuel runs out,
     while parallel mode reports an entry per oracle; the shared fuel
     counter is decremented from all lanes without synchronization — ticks

@@ -396,7 +396,8 @@ let session_job t ~tenant (req : Http.request) parts body =
                             Registry.create_session t.registry ~tenant ~id
                               spec
                           with
-                          | Ok view ->
+                          | Ok s ->
+                              let view = s.Stepper.view () in
                               Telemetry.Labeled.incr
                                 "learnq_sessions_created_total"
                                 [

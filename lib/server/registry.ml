@@ -15,6 +15,19 @@ type config = {
   idle_evict_after : float;  (** evict sessions idle this long; 0. = off *)
 }
 
+let default_config dir =
+  {
+    dir;
+    sync = Journal.Off;
+    tenants = Tenant.make [];
+    step_fuel = None;
+    step_timeout = None;
+    vfs = Vfs.real;
+    checkpoint_every = 0;
+    max_live = 0;
+    idle_evict_after = 0.;
+  }
+
 type session = {
   tenant : string;
   id : string;
@@ -231,7 +244,7 @@ let create_session t ~tenant ~id spec =
                            (Engines.config_of_spec s.spec))))
               else begin
                 s.last_used <- Unix.gettimeofday ();
-                Error (`Existing (s.stepper.Stepper.view ()))
+                Error (`Existing s.stepper)
               end
           | None ->
               if Hashtbl.mem t.building k then
@@ -252,7 +265,7 @@ let create_session t ~tenant ~id spec =
                 end)
     in
     match reserve () with
-    | Error (`Existing view) -> Ok view
+    | Error (`Existing stepper) -> Ok stepper
     | Error (`Err e) -> Error e
     | Ok () -> (
         let release () =
@@ -266,7 +279,7 @@ let create_session t ~tenant ~id spec =
                 Hashtbl.remove t.building k;
                 Hashtbl.replace t.sessions k s;
                 Condition.broadcast t.cv);
-            Ok (s.stepper.Stepper.view ())
+            Ok s.stepper
         | Error e ->
             release ();
             if quarantine_worthy e then
@@ -442,7 +455,7 @@ let delete t ~tenant ~id =
   in
   take ()
 
-let recover_all t ~pool =
+let recover_all ?pool t =
   let files =
     match Vfs.readdir t.cfg.vfs t.cfg.dir with
     | files ->
@@ -476,12 +489,14 @@ let recover_all t ~pool =
       files
   in
   (* Replay is CPU-bound and per-file independent: one pool lane per
-     journal.  Each lane only reads its own file and builds its own
-     stepper; table insertion happens afterwards on the calling thread. *)
+     journal when there is a pool.  Each lane only reads its own file and
+     builds its own stepper; table insertion happens afterwards on the
+     calling thread. *)
+  let resume (f, tenant, id) = (f, tenant, id, resume_session t ~tenant ~id) in
   let results =
-    Core.Pool.map_list pool
-      (fun (f, tenant, id) -> (f, tenant, id, resume_session t ~tenant ~id))
-      todo
+    match pool with
+    | Some pool -> Core.Pool.map_list pool resume todo
+    | None -> List.map resume todo
   in
   List.fold_left
     (fun (n, errs) (f, tenant, id, r) ->

@@ -12,7 +12,7 @@
       registry holds only the in-memory stepper; {!recover_all} rebuilds
       the table from the directory after a crash.
     - {e idempotent creation}: re-creating an existing [tenant/id] with the
-      same spec returns the live session's view (clients retry blindly); a
+      same spec returns the live session (clients retry blindly); a
       different spec is a typed conflict.  A journal already on disk but
       not in memory is resumed, not truncated.
     - {e quota-checked}: a tenant at its [max_sessions] gets a typed
@@ -56,6 +56,11 @@ type config = {
           0. = never *)
 }
 
+val default_config : string -> config
+(** An in-process registry on the given state directory: [Off] sync,
+    default tenants, no step caps, real storage, no checkpoints, unbounded
+    residency.  Override fields with [{ (default_config dir) with ... }]. *)
+
 type stats = {
   live : int;
   evicted : int;  (** sessions checkpointed out by {!evict_idle} *)
@@ -70,9 +75,11 @@ val create : config -> t
 
 val create_session :
   t -> tenant:string -> id:string -> Engines.spec ->
-  (Stepper.view, Core.Error.t) result
-(** See the idempotency and quota rules above.  [id] and [tenant] must be
-    [[A-Za-z0-9_-]+] (they name files). *)
+  (Stepper.t, Core.Error.t) result
+(** The new (or, by the idempotency rule above, the live) session's
+    stepper; callers must respect the one-thread-per-session batch
+    discipline, as with {!find}.  See the quota rule above.  [id] and
+    [tenant] must be [[A-Za-z0-9_-]+] (they name files). *)
 
 val find : t -> tenant:string -> id:string -> Stepper.t option
 (** The live stepper (touching its LRU clock); callers must respect the
@@ -101,9 +108,11 @@ val delete : t -> tenant:string -> id:string -> bool
     that only exists on disk (evicted or never loaded).  [false] if absent
     everywhere. *)
 
-val recover_all : t -> pool:Core.Pool.t -> int * (string * Core.Error.t) list
+val recover_all :
+  ?pool:Core.Pool.t -> t -> int * (string * Core.Error.t) list
 (** Resumes every journal in the directory not already live — in parallel
-    on [pool] — and returns (sessions recovered, per-file errors).
+    on [pool], or one after another on the calling domain without one —
+    and returns (sessions recovered, per-file errors).
     Corrupt journals are quarantined; other failures (locked, storage) are
     left in place and reported. *)
 

@@ -138,3 +138,15 @@ module Make (S : Core.Interact.SESSION) = struct
             abort = (fun () -> on_journal Journal.abort);
           }
 end
+
+let drive ?(stop_after = max_int) st reply =
+  let rec go n keys =
+    let v = st.view () in
+    match v.question with
+    | Some key when (not v.done_) && n < stop_after -> (
+        match st.answer ~qid:v.qid (reply key) with
+        | Ok _ -> go (n + 1) (key :: keys)
+        | Error e -> (List.rev keys, Error e))
+    | _ -> (List.rev keys, Ok v)
+  in
+  go 0 []

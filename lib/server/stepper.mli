@@ -95,3 +95,18 @@ module Make (S : Core.Interact.SESSION) : sig
       journal is never left mid-write — it truncates back to its last
       complete record. *)
 end
+
+val drive :
+  ?stop_after:int ->
+  t ->
+  (string -> Core.Flaky.reply) ->
+  string list * (view, Core.Error.t) result
+(** The in-process client of the protocol above: read the {!view}, answer
+    its open question with [reply key] under its [qid], and repeat until
+    the session is done, no question is open, or [stop_after] answers
+    (default unlimited) have been delivered.  Returns the keys answered,
+    in order, with the final view — or with the first error [answer]
+    returned, which ends the drive (the caller decides whether to retry:
+    the next drive re-reads the view, so it answers the current question).
+    The view is re-read before every answer, and [reply] is called once
+    per answer attempted. *)

@@ -43,6 +43,52 @@ let test_gen_twig_wellformed () =
     | Error e -> Alcotest.failf "unparseable: %s" (Core.Error.to_string e)
   done
 
+(* Every oracle's case stream, pinned: one generator per oracle from seed
+   20, cases at sizes 1..10, each printed.  A refactor of a generator must
+   keep its draw order, or every recorded seed and artifact would replay a
+   different case. *)
+let case_stream_digests =
+  [
+    ("eval-cache", "9c9f403866ecd8356ceeba5b91a58e95");
+    ("xmlstore-eval", "9c9f403866ecd8356ceeba5b91a58e95");
+    ("contain-cache", "1fdaf507fe3663b24afedadfb0bd0917");
+    ("contain-vs-eval", "9125edeebd3a3448dec7e54bd5700892");
+    ("lgg-incremental", "f66406951ff55fd0ef4fbcb67c5c9529");
+    ("interact-batch", "d84823d110513d9dc699481866db6915");
+    ("interact-pool", "d84823d110513d9dc699481866db6915");
+    ("journal-resume", "64aa7bca11c27e821c99b3697a4cafcf");
+    ("rpq-naive", "8840bd4516922e868b9c65efa300b777");
+    ("roundtrip-twig", "605c9f385692ca45672b650a4178dff5");
+    ("roundtrip-xml", "d8aa4ca9ee979926ee2914188461ea83");
+    ("roundtrip-csv", "bdb11a4a89f243ccdd03d2465dd5b69c");
+    ("roundtrip-dms", "223c7787259dbc6a2160e8afb57b5c44");
+    ("docgen-infer", "1ef3aa0a9d3ab20518378b73d2938625");
+    ("validate-agree", "07c4d2beb8b57fc89d256c3b3b778c94");
+    ("parser-total", "9bc32095d1c665455283b1f2f325451f");
+    ("http-incremental-parse", "463447d60006389806e72e1aa1d0f443");
+    ("server-crash-resume", "56b687f1d5a1ae26cb0ca70708541434");
+    ("journal-checkpoint-resume", "2f3a5e4d3c1f3ead41a906567fb7d5c1");
+    ("vfs-torn-write", "2bfb8073f8a51d9f40eae5994f4d4ab6");
+    ("telemetry-transparency", "2289d09ed2e7ffb169d45efd03265e66");
+  ]
+
+let test_case_streams_pinned () =
+  List.iter
+    (fun (Fuzz.Oracle.Spec o) ->
+      let g = Core.Prng.create 20 in
+      let cases =
+        List.init 10 (fun i ->
+            o.Fuzz.Oracle.print (o.Fuzz.Oracle.generate g ~size:(i + 1)))
+      in
+      match List.assoc_opt o.Fuzz.Oracle.name case_stream_digests with
+      | None -> Alcotest.failf "no pinned case stream for %s" o.Fuzz.Oracle.name
+      | Some expected ->
+          Alcotest.(check string)
+            (o.Fuzz.Oracle.name ^ " case stream")
+            expected
+            (Digest.to_hex (Digest.string (String.concat "\n--\n" cases))))
+    Fuzz.Oracle.all
+
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -145,7 +191,7 @@ let test_runner_budget () =
 let test_runner_jobs_deterministic () =
   let oracles =
     [ find "roundtrip-twig"; find "roundtrip-csv"; find "xmlstore-eval";
-      find "interact-batch" ]
+      find "interact-batch"; find "server-crash-resume" ]
   in
   let run jobs = Fuzz.Runner.run ~oracles ~jobs ~iters:25 ~seed:11 () in
   let r1 = run 1 in
@@ -221,6 +267,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_gen_deterministic;
           Alcotest.test_case "tree size" `Quick test_gen_tree_size;
           Alcotest.test_case "anchored twig" `Quick test_gen_twig_wellformed;
+          Alcotest.test_case "case streams pinned" `Quick
+            test_case_streams_pinned;
         ] );
       ( "shrinking",
         [

@@ -152,18 +152,11 @@ let stepper_digest spec goal =
         | r when r < 25 -> Core.Flaky.Timed_out
         | _ -> Core.Flaky.Label (truth key)
       in
-      let rec drive () =
-        let v = st.Server.Stepper.view () in
-        match v.Server.Stepper.question with
-        | Some key when not v.Server.Stepper.done_ -> (
-            match
-              st.Server.Stepper.answer ~qid:v.Server.Stepper.qid (reply key)
-            with
-            | Ok _ -> drive ()
-            | Error e -> Alcotest.failf "answer: %s" (Core.Error.to_string e))
-        | _ -> v
+      let v =
+        match Server.Stepper.drive st reply with
+        | _, Ok v -> v
+        | _, Error e -> Alcotest.failf "answer: %s" (Core.Error.to_string e)
       in
-      let v = drive () in
       st.Server.Stepper.close ();
       Alcotest.(check bool) "stepper session finished" true
         v.Server.Stepper.done_;

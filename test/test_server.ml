@@ -224,21 +224,14 @@ let make_stepper spec =
   | Ok st -> st
   | Error e -> Alcotest.failf "engine: %s" (Core.Error.to_string e)
 
-let drive st truth =
-  let rec go n =
-    let v = st.Stepper.view () in
-    if v.Stepper.done_ then (n, v)
-    else
-      match v.Stepper.question with
-      | None -> (n, v)
-      | Some key -> (
-          match
-            st.Stepper.answer ~qid:v.Stepper.qid (Core.Flaky.Label (truth key))
-          with
-          | Ok _ -> go (n + 1)
-          | Error e -> Alcotest.failf "answer: %s" (Core.Error.to_string e))
-  in
-  go 0
+let label truth key = Core.Flaky.Label (truth key)
+
+(* A finished [Stepper.drive]: answers delivered and the final view; a
+   stepper error fails the test. *)
+let driven (keys, final) =
+  match final with
+  | Ok v -> (List.length keys, v)
+  | Error e -> Alcotest.failf "answer: %s" (Core.Error.to_string e)
 
 let test_stepper_duplicate_qid_idempotent () =
   let st = make_stepper twig_spec in
@@ -279,7 +272,7 @@ let test_stepper_matches_interact_loop () =
   let outcome = Twiglearn.Interactive.run_with_goal ~doc ~goal () in
   let st = make_stepper twig_spec in
   let truth = truth_of twig_spec "//person/name" in
-  let questions, v = drive st truth in
+  let questions, v = driven (Stepper.drive st (label truth)) in
   st.Stepper.close ();
   Alcotest.(check int) "same number of questions" outcome.Twiglearn.Interactive.Loop.questions
     questions;
@@ -293,33 +286,24 @@ let test_stepper_matches_interact_loop () =
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let registry_config ?(tenants = Tenant.make []) ?(sync = Core.Journal.Off)
-    ?(vfs = Core.Vfs.real) ?(checkpoint_every = 0) ?(max_live = 0)
-    ?(idle_evict_after = 0.) dir =
-  {
-    Registry.dir;
-    sync;
-    tenants;
-    step_fuel = None;
-    step_timeout = None;
-    vfs;
-    checkpoint_every;
-    max_live;
-    idle_evict_after;
-  }
+let create_ok reg ~tenant ~id spec =
+  match Registry.create_session reg ~tenant ~id spec with
+  | Ok st -> st
+  | Error e -> Alcotest.failf "create: %s" (Core.Error.to_string e)
+
+let journaled dir =
+  { (Registry.default_config dir) with sync = Core.Journal.Always }
 
 let test_registry_idempotent_create_and_conflict () =
   with_temp_dir (fun dir ->
-      let reg = Registry.create (registry_config dir) in
+      let reg = Registry.create (Registry.default_config dir) in
       Fun.protect
         ~finally:(fun () -> Registry.drain reg)
         (fun () ->
+          let st = create_ok reg ~tenant:"t" ~id:"s1" twig_spec in
+          (* same spec again: the live session, not an error *)
           (match Registry.create_session reg ~tenant:"t" ~id:"s1" twig_spec with
-          | Ok _ -> ()
-          | Error e -> Alcotest.failf "create: %s" (Core.Error.to_string e));
-          (* same spec again: the live view, not an error *)
-          (match Registry.create_session reg ~tenant:"t" ~id:"s1" twig_spec with
-          | Ok _ -> ()
+          | Ok st' -> Alcotest.(check bool) "the live stepper" true (st == st')
           | Error e -> Alcotest.failf "idempotent create: %s" (Core.Error.to_string e));
           Alcotest.(check int) "still one session" 1 (Registry.count reg);
           (* different spec: typed conflict *)
@@ -339,13 +323,13 @@ let test_registry_idempotent_create_and_conflict () =
 let test_registry_quota_refusal () =
   with_temp_dir (fun dir ->
       let tenants = Tenant.make [ ("small", Tenant.quota ~max_sessions:1 ()) ] in
-      let reg = Registry.create (registry_config ~tenants dir) in
+      let reg =
+        Registry.create { (Registry.default_config dir) with tenants }
+      in
       Fun.protect
         ~finally:(fun () -> Registry.drain reg)
         (fun () ->
-          (match Registry.create_session reg ~tenant:"small" ~id:"a" twig_spec with
-          | Ok _ -> ()
-          | Error e -> Alcotest.failf "create: %s" (Core.Error.to_string e));
+          ignore (create_ok reg ~tenant:"small" ~id:"a" twig_spec);
           (match Registry.create_session reg ~tenant:"small" ~id:"b" twig_spec with
           | Error (Core.Error.Over_quota _) -> ()
           | Error e -> Alcotest.failf "wrong error: %s" (Core.Error.to_string e)
@@ -368,50 +352,25 @@ let test_registry_crash_recover_equality () =
   let truth = truth_of spec "//person/name" in
   let uninterrupted =
     with_temp_dir (fun dir ->
-        let reg = Registry.create (registry_config dir) in
+        let reg = Registry.create (Registry.default_config dir) in
         Fun.protect
           ~finally:(fun () -> Registry.drain reg)
           (fun () ->
-            (match Registry.create_session reg ~tenant:"t" ~id:"s" spec with
-            | Ok _ -> ()
-            | Error e -> Alcotest.failf "create: %s" (Core.Error.to_string e));
-            let st = Option.get (Registry.find reg ~tenant:"t" ~id:"s") in
-            let _, v = drive st truth in
+            let st = create_ok reg ~tenant:"t" ~id:"s" spec in
+            let _, v = driven (Stepper.drive st (label truth)) in
             v.Stepper.query))
   in
   with_temp_dir (fun dir ->
-      let reg = Registry.create (registry_config ~sync:Core.Journal.Always dir) in
-      (match Registry.create_session reg ~tenant:"t" ~id:"s" spec with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "create: %s" (Core.Error.to_string e));
-      let st = Option.get (Registry.find reg ~tenant:"t" ~id:"s") in
+      let reg = Registry.create (journaled dir) in
+      let st = create_ok reg ~tenant:"t" ~id:"s" spec in
       (* half a session, then the plug is pulled *)
-      let answered = ref 0 in
-      let rec half () =
-        let v = st.Stepper.view () in
-        if (not v.Stepper.done_) && !answered < 4 then
-          match v.Stepper.question with
-          | None -> ()
-          | Some key ->
-              (match
-                 st.Stepper.answer ~qid:v.Stepper.qid (Core.Flaky.Label (truth key))
-               with
-              | Ok _ -> incr answered
-              | Error e -> Alcotest.failf "answer: %s" (Core.Error.to_string e));
-              half ()
-      in
-      half ();
+      ignore (driven (Stepper.drive ~stop_after:4 st (label truth)));
       Registry.crash reg;
-      let reg2 = Registry.create (registry_config ~sync:Core.Journal.Always dir) in
+      let reg2 = Registry.create (journaled dir) in
       Fun.protect
         ~finally:(fun () -> Registry.drain reg2)
         (fun () ->
-          let pool = Core.Pool.create 1 in
-          let recovered, errors =
-            Fun.protect
-              ~finally:(fun () -> Core.Pool.shutdown pool)
-              (fun () -> Registry.recover_all reg2 ~pool)
-          in
+          let recovered, errors = Registry.recover_all reg2 in
           List.iter
             (fun (f, e) ->
               Alcotest.failf "recovery error on %s: %s" f (Core.Error.to_string e))
@@ -420,16 +379,17 @@ let test_registry_crash_recover_equality () =
           let st2 = Option.get (Registry.find reg2 ~tenant:"t" ~id:"s") in
           Alcotest.(check bool) "answers replayed" true
             ((st2.Stepper.view ()).Stepper.replayed > 0);
-          let _, v = drive st2 truth in
+          let _, v = driven (Stepper.drive st2 (label truth)) in
           Alcotest.(check (option string)) "same query as uninterrupted"
             uninterrupted v.Stepper.query))
 
 let test_registry_drain_releases_locks () =
   with_temp_dir (fun dir ->
-      let reg = Registry.create (registry_config ~sync:Core.Journal.Batch dir) in
-      (match Registry.create_session reg ~tenant:"t" ~id:"s" twig_spec with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "create: %s" (Core.Error.to_string e));
+      let reg =
+        Registry.create
+          { (Registry.default_config dir) with sync = Core.Journal.Batch }
+      in
+      ignore (create_ok reg ~tenant:"t" ~id:"s" twig_spec);
       Registry.drain reg;
       let entries = Array.to_list (Sys.readdir dir) in
       Alcotest.(check bool) "journal kept" true
@@ -442,7 +402,7 @@ let test_registry_names_injective_across_restart () =
      journal files, and recovery must hand each session back to the tenant
      that owns it — not resurrect one as the other. *)
   with_temp_dir (fun dir ->
-      let reg = Registry.create (registry_config ~sync:Core.Journal.Always dir) in
+      let reg = Registry.create (journaled dir) in
       (match Registry.create_session reg ~tenant:"a_" ~id:"b" twig_spec with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "create a_/b: %s" (Core.Error.to_string e));
@@ -452,16 +412,11 @@ let test_registry_names_injective_across_restart () =
           Alcotest.failf "a/_b collided with a_/b: %s" (Core.Error.to_string e));
       Alcotest.(check int) "two distinct sessions" 2 (Registry.count reg);
       Registry.drain reg;
-      let reg2 = Registry.create (registry_config ~sync:Core.Journal.Always dir) in
+      let reg2 = Registry.create (journaled dir) in
       Fun.protect
         ~finally:(fun () -> Registry.drain reg2)
         (fun () ->
-          let pool = Core.Pool.create 1 in
-          let recovered, errors =
-            Fun.protect
-              ~finally:(fun () -> Core.Pool.shutdown pool)
-              (fun () -> Registry.recover_all reg2 ~pool)
-          in
+          let recovered, errors = Registry.recover_all reg2 in
           List.iter
             (fun (f, e) ->
               Alcotest.failf "recovery error on %s: %s" f (Core.Error.to_string e))
@@ -493,28 +448,6 @@ let evict_cases =
       "highway*" );
   ]
 
-let create_ok reg ~tenant ~id spec =
-  match Registry.create_session reg ~tenant ~id spec with
-  | Ok v -> v
-  | Error e -> Alcotest.failf "create: %s" (Core.Error.to_string e)
-
-(* Answer up to [n] questions; stops early when the session finishes. *)
-let drive_n st truth n =
-  let rec go k =
-    let v = st.Stepper.view () in
-    if v.Stepper.done_ || k >= n then k
-    else
-      match v.Stepper.question with
-      | None -> k
-      | Some key -> (
-          match
-            st.Stepper.answer ~qid:v.Stepper.qid (Core.Flaky.Label (truth key))
-          with
-          | Ok _ -> go (k + 1)
-          | Error e -> Alcotest.failf "answer: %s" (Core.Error.to_string e))
-  in
-  go 0
-
 let test_registry_evict_resume_roundtrip () =
   List.iter
     (fun (name, spec, goal) ->
@@ -522,13 +455,12 @@ let test_registry_evict_resume_roundtrip () =
       (* Reference: never evicted, never checkpointed. *)
       let ref_questions, ref_query =
         with_temp_dir (fun dir ->
-            let reg = Registry.create (registry_config dir) in
+            let reg = Registry.create (Registry.default_config dir) in
             Fun.protect
               ~finally:(fun () -> Registry.drain reg)
               (fun () ->
-                ignore (create_ok reg ~tenant:"t" ~id:"s" spec);
-                let st = Option.get (Registry.find reg ~tenant:"t" ~id:"s") in
-                let n, v = drive st truth in
+                let st = create_ok reg ~tenant:"t" ~id:"s" spec in
+                let n, v = driven (Stepper.drive st (label truth)) in
                 (n, v.Stepper.query)))
       in
       if ref_questions < 3 then
@@ -536,15 +468,15 @@ let test_registry_evict_resume_roundtrip () =
       with_temp_dir (fun dir ->
           let reg =
             Registry.create
-              (registry_config ~sync:Core.Journal.Always ~checkpoint_every:2
-                 ~max_live:1 dir)
+              { (journaled dir) with checkpoint_every = 2; max_live = 1 }
           in
           Fun.protect
             ~finally:(fun () -> Registry.drain reg)
             (fun () ->
-              ignore (create_ok reg ~tenant:"t" ~id:"s" spec);
-              let st = Option.get (Registry.find reg ~tenant:"t" ~id:"s") in
-              let answered = drive_n st truth 2 in
+              let st = create_ok reg ~tenant:"t" ~id:"s" spec in
+              let answered, _ =
+                driven (Stepper.drive ~stop_after:2 st (label truth))
+              in
               Alcotest.(check int)
                 (name ^ ": drove two answers before eviction") 2 answered;
               (* A second session pushes the first over max_live = 1. *)
@@ -572,7 +504,7 @@ let test_registry_evict_resume_roundtrip () =
               Alcotest.(check int) (name ^ ": no live questions burned") 0
                 v.Stepper.questions;
               (* Finishing converges to the uninterrupted session. *)
-              let _, v_final = drive st2 truth in
+              let _, v_final = driven (Stepper.drive st2 (label truth)) in
               Alcotest.(check (option string))
                 (name ^ ": same query as uninterrupted") ref_query
                 v_final.Stepper.query;
@@ -592,15 +524,13 @@ let test_registry_evicted_burst_single_flight () =
   with_temp_dir (fun dir ->
       let reg =
         Registry.create
-          (registry_config ~sync:Core.Journal.Always ~checkpoint_every:2
-             ~max_live:1 dir)
+          { (journaled dir) with checkpoint_every = 2; max_live = 1 }
       in
       Fun.protect
         ~finally:(fun () -> Registry.drain reg)
         (fun () ->
-          ignore (create_ok reg ~tenant:"t" ~id:"s" spec);
-          let st = Option.get (Registry.find reg ~tenant:"t" ~id:"s") in
-          ignore (drive_n st truth 2);
+          let st = create_ok reg ~tenant:"t" ~id:"s" spec in
+          ignore (driven (Stepper.drive ~stop_after:2 st (label truth)));
           ignore (create_ok reg ~tenant:"t" ~id:"other" spec);
           Alcotest.(check int) "evicted" 1 (Registry.evict_idle reg);
           (* A burst of concurrent requests for the evicted key: every one
@@ -654,23 +584,17 @@ let test_registry_quarantines_corrupt_journal () =
   let truth = truth_of spec goal in
   with_temp_dir (fun dir ->
       (* Record a session, close cleanly, then corrupt a record in place. *)
-      let reg = Registry.create (registry_config ~sync:Core.Journal.Always dir) in
-      ignore (create_ok reg ~tenant:"t" ~id:"s" spec);
-      let st = Option.get (Registry.find reg ~tenant:"t" ~id:"s") in
-      ignore (drive_n st truth 2);
+      let reg = Registry.create (journaled dir) in
+      let st = create_ok reg ~tenant:"t" ~id:"s" spec in
+      ignore (driven (Stepper.drive ~stop_after:2 st (label truth)));
       Registry.drain reg;
       let path = corrupt_journal_in dir in
       (* Recovery quarantines it instead of failing every restart. *)
-      let reg2 = Registry.create (registry_config ~sync:Core.Journal.Always dir) in
+      let reg2 = Registry.create (journaled dir) in
       Fun.protect
         ~finally:(fun () -> Registry.drain reg2)
         (fun () ->
-          let pool = Core.Pool.create 1 in
-          let recovered, errors =
-            Fun.protect
-              ~finally:(fun () -> Core.Pool.shutdown pool)
-              (fun () -> Registry.recover_all reg2 ~pool)
-          in
+          let recovered, errors = Registry.recover_all reg2 in
           Alcotest.(check int) "nothing recovered" 0 recovered;
           (match errors with
           | [ (_, Core.Error.Corrupt_journal _) ] -> ()
@@ -696,10 +620,7 @@ let test_registry_enospc_is_typed_storage_full () =
   let _, spec, _ = List.hd evict_cases in
   with_temp_dir (fun dir ->
       let vfs = Core.Vfs.faulty ~seed:1 Core.Flaky.no_disk_faults in
-      let reg =
-        Registry.create
-          (registry_config ~sync:Core.Journal.Always ~vfs dir)
-      in
+      let reg = Registry.create { (journaled dir) with vfs } in
       Fun.protect
         ~finally:(fun () -> Registry.drain reg)
         (fun () ->
@@ -713,6 +634,39 @@ let test_registry_enospc_is_typed_storage_full () =
           (* The episode ends: the same create succeeds. *)
           Core.Vfs.set_full vfs false;
           ignore (create_ok reg ~tenant:"t" ~id:"s" spec)))
+
+(* [Stepper.drive] hands a mid-session storage error back to its caller.
+   Driving again re-reads the view, so the retry answers the question the
+   failed answer left open, and the session ends where an uninterrupted
+   one does. *)
+let test_stepper_drive_returns_storage_error () =
+  let truth = truth_of twig_spec "//person/name" in
+  let ref_st = make_stepper twig_spec in
+  let ref_n, ref_v = driven (Stepper.drive ref_st (label truth)) in
+  ref_st.Stepper.close ();
+  with_temp_dir (fun dir ->
+      let vfs = Core.Vfs.faulty ~seed:1 Core.Flaky.no_disk_faults in
+      let reg = Registry.create { (journaled dir) with vfs } in
+      Fun.protect
+        ~finally:(fun () -> Registry.drain reg)
+        (fun () ->
+          let st = create_ok reg ~tenant:"t" ~id:"s" twig_spec in
+          let first, _ =
+            driven (Stepper.drive ~stop_after:2 st (label truth))
+          in
+          Core.Vfs.set_full vfs true;
+          (match Stepper.drive st (label truth) with
+          | [], Error (Core.Error.Storage { full = true; _ }) -> ()
+          | keys, Error e ->
+              Alcotest.failf "after %d answers: %s" (List.length keys)
+                (Core.Error.to_string e)
+          | _, Ok _ -> Alcotest.fail "answered on a full disk");
+          Core.Vfs.set_full vfs false;
+          let rest, v = driven (Stepper.drive st (label truth)) in
+          Alcotest.(check int) "no answer lost or doubled" ref_n
+            (first + rest);
+          Alcotest.(check (option string)) "same query as uninterrupted"
+            ref_v.Stepper.query v.Stepper.query))
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
@@ -1397,6 +1351,8 @@ let () =
             test_registry_quarantines_corrupt_journal;
           Alcotest.test_case "ENOSPC is typed Storage{full}" `Quick
             test_registry_enospc_is_typed_storage_full;
+          Alcotest.test_case "drive hands back a storage error" `Quick
+            test_stepper_drive_returns_storage_error;
         ] );
       ( "admission",
         [

@@ -11,7 +11,6 @@ module Json = Server.Json
 module Engines = Server.Engines
 module Stepper = Server.Stepper
 module Registry = Server.Registry
-module Tenant = Server.Tenant
 
 (* Telemetry state is global; every test runs against a clean registry in
    [Full] mode and leaves the default mode for the next one. *)
@@ -504,38 +503,19 @@ let test_recorder_dump_on_quarantine () =
   in
   with_temp_dir (fun dir ->
       let cfg =
-        {
-          Registry.dir;
-          sync = Core.Journal.Always;
-          tenants = Tenant.make [];
-          step_fuel = None;
-          step_timeout = None;
-          vfs = Core.Vfs.real;
-          checkpoint_every = 0;
-          max_live = 0;
-          idle_evict_after = 0.;
-        }
+        { (Registry.default_config dir) with sync = Core.Journal.Always }
       in
       let reg = Registry.create cfg in
       (match Registry.create_session reg ~tenant:"t" ~id:"s" spec with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "create: %s" (Core.Error.to_string e));
-      let st = Option.get (Registry.find reg ~tenant:"t" ~id:"s") in
-      let rec answer n =
-        if n > 0 then
-          let v = st.Stepper.view () in
-          match v.Stepper.question with
-          | Some key when not v.Stepper.done_ ->
-              (match
-                 st.Stepper.answer ~qid:v.Stepper.qid
-                   (Core.Flaky.Label (truth key))
-               with
-              | Ok _ -> answer (n - 1)
-              | Error e ->
-                  Alcotest.failf "answer: %s" (Core.Error.to_string e))
-          | _ -> ()
-      in
-      answer 2;
+      | Error e -> Alcotest.failf "create: %s" (Core.Error.to_string e)
+      | Ok st -> (
+          match
+            Stepper.drive ~stop_after:2 st (fun key ->
+                Core.Flaky.Label (truth key))
+          with
+          | _, Ok _ -> ()
+          | _, Error e ->
+              Alcotest.failf "answer: %s" (Core.Error.to_string e)));
       Registry.drain reg;
       (* Flip a byte of the journal tail; recovery must quarantine it and
          leave a flight dump beside the quarantined bytes. *)
@@ -561,12 +541,7 @@ let test_recorder_dump_on_quarantine () =
         ~finally:(fun () -> close_out_noerr oc)
         (fun () -> output_bytes oc b);
       let reg2 = Registry.create cfg in
-      let pool = Core.Pool.create 1 in
-      let _recovered, _errors =
-        Fun.protect
-          ~finally:(fun () -> Core.Pool.shutdown pool)
-          (fun () -> Registry.recover_all reg2 ~pool)
-      in
+      ignore (Registry.recover_all reg2);
       Registry.drain reg2;
       Alcotest.(check int) "quarantined" 1
         (Registry.stats reg2).Registry.quarantined;
