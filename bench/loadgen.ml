@@ -4,8 +4,8 @@
    time-series sampler.  The benches differ only in the constants they
    pass.
 
-   Every session's simulated user is [Server.Engines.user]: its reply to
-   a question is a pure function of the question, so a session driven
+   Every session's simulated user is [Core.Flaky.user]: its reply to a
+   question is a pure function of the question, so a session driven
    twice, or resumed after a SIGKILL, labels the same items the same way
    and converges to the same query.
 
@@ -50,7 +50,7 @@ type sess = {
 
 (* [n] sessions cycling twig/join/path on small instances, session [i]
    seeded [seed + i], named [id i] and owned by [tenant i]; the fault
-   rates are permille, as in [Engines.user]. *)
+   rates are permille, as in [Core.Flaky.user]. *)
 let population ~n ~seed ~id ~tenant ?(refusal = 0) ?(timeout = 0)
     ?(noise = 0) () =
   List.init n (fun i ->
@@ -73,7 +73,8 @@ let population ~n ~seed ~id ~tenant ?(refusal = 0) ?(timeout = 0)
         id = id i;
         tenant = tenant i;
         spec;
-        reply = Engines.user spec ~truth ~refusal ~timeout ~noise;
+        reply =
+          Core.Flaky.user ~seed:spec.seed ~truth ~refusal ~timeout ~noise;
       })
 
 (* ------------------------------------------------------------------ *)

@@ -257,41 +257,58 @@ let timeout_rate_arg =
           "Probability the simulated user's answer never arrives (distinct \
            from $(b,--timeout), the wall-clock budget).")
 
-(* The exit code of an injected crash: 128 + SIGKILL, what a real kill -9
-   would produce. *)
-let exit_crashed = 137
+(* The simulated user's flags.  Evaluating the term checks them, so a bad
+   rate exits 64 before the command runs, let alone writes a journal.
+   Simulated users answer in microseconds, so the retry backoff is short:
+   a flaky run does not spend its wall-clock sleeping. *)
+type user = {
+  faults : string;  (* the rate flags, as the journal config records them *)
+  rates : Core.Flaky.profile;
+  crash_after : int option;
+  retry : Core.Retry.policy;
+}
 
-(* The simulated user: [base] answers, through the fault injector when a
-   fault rate is set (drawing from [rng]), and the process dies on the
-   answer after [crash_after]. *)
-let simulated_user ~noise ~refusal ~timeout_rate ~crash_after ~rng base =
-  let oracle =
-    if noise = 0.0 && refusal = 0.0 && timeout_rate = 0.0 then fun it ->
-      Core.Flaky.Label (base it)
-    else
-      Core.Flaky.wrap
-        ~profile:(Core.Flaky.profile ~noise ~refusal ~timeout:timeout_rate ())
-        ~rng base
+let user_term =
+  let user crash_after noise refusal timeout_rate retries breaker =
+    {
+      faults =
+        Printf.sprintf "noise=%g refusal=%g timeout-rate=%g" noise refusal
+          timeout_rate;
+      rates = Core.Flaky.profile ~noise ~refusal ~timeout:timeout_rate ();
+      crash_after;
+      retry =
+        Core.Retry.policy ~max_attempts:retries ~base_delay:0.01
+          ~max_delay:0.25 ~breaker_threshold:breaker ();
+    }
   in
-  match crash_after with
-  | None -> oracle
-  | Some k ->
-      let n = ref 0 in
-      fun it ->
-        if !n >= k then begin
-          Core.Telemetry.Log.warn
-            ~kv:[ ("answers", string_of_int k) ]
-            "injected crash (--crash-after)";
-          exit exit_crashed
-        end;
-        incr n;
-        oracle it
+  Term.(
+    const user $ crash_after_arg $ noise_arg $ refusal_arg $ timeout_rate_arg
+    $ retries_arg $ breaker_arg)
 
-(* Simulated oracles answer in microseconds; keep the backoff short so a
-   flaky run doesn't spend its wall-clock sleeping. *)
-let retry_policy ~retries ~breaker =
-  Core.Retry.policy ~max_attempts:retries ~base_delay:0.01 ~max_delay:0.25
-    ~breaker_threshold:breaker ()
+(* The simulated user: [base] answers through [Core.Flaky.user], keyed by
+   the item's journal codec [encode] under the session's [seed], so a reply
+   depends on the question and never on how many came before it: a resumed
+   session gets the replies of its uninterrupted run.  Asks of one question
+   in this process number its attempts (a retry re-rolls only a refusal or
+   a timeout), and the process dies on the ask after --crash-after, with
+   128 + SIGKILL, the exit code of a real kill -9. *)
+let simulated_user user ~seed ~encode base =
+  let asks = Hashtbl.create 64 and n = ref 0 in
+  fun it ->
+    (match user.crash_after with
+    | Some k when !n >= k ->
+        Core.Telemetry.Log.warn
+          ~kv:[ ("answers", string_of_int k) ]
+          "injected crash (--crash-after)";
+        exit 137
+    | _ -> ());
+    incr n;
+    let key = encode it in
+    let attempt = Option.value ~default:0 (Hashtbl.find_opt asks key) in
+    Hashtbl.replace asks key (attempt + 1);
+    let { Core.Flaky.refusal; timeout; noise } = user.rates in
+    Core.Flaky.user ~seed ~truth:(fun _ -> base it) ~refusal ~timeout ~noise
+      ~attempt key
 
 (* A started (or resumed) journal session: [seed] is the effective seed —
    the journal header's on resume, the --seed flag's otherwise. *)
@@ -347,15 +364,18 @@ let start_journal ~path ~resuming ~engine ~config ~seed ~sync =
         raw_events = [];
       }
 
-(* Runs a session over the journal (if any), with [encode] as its item
-   codec, and closes the journal after it.  Checkpoint compaction (and
-   journal close) can hit the disk mid-session; the typed storage error
-   exits with EX_IOERR, leaving the journal intact and resumable.  A
-   journal that does not replay over this data (an undecodable item or
+(* Runs [session journal oracle] over the journal (if any), with [encode]
+   as its item codec and the simulated user holding [base] as its oracle,
+   and closes the journal after it.  Checkpoint compaction (and journal
+   close) can hit the disk mid-session; the typed storage error exits
+   with EX_IOERR, leaving the journal intact and resumable.  A journal
+   that does not replay over this data (an undecodable item or
    checkpoint) is bad input. *)
-let run_journaled js encode session =
+let run_journaled js user encode base session =
+  let oracle = simulated_user user ~seed:js.seed ~encode base in
   try
-    let outcome = session (Option.map (fun log -> (log, encode)) js.log) in
+    let journal = Option.map (fun log -> (log, encode)) js.log in
+    let outcome = session journal oracle in
     Option.iter Core.Journal.close js.log;
     outcome
   with Core.Journal.Io err | Core.Interact.Replay_failed err ->
@@ -649,7 +669,7 @@ let learn_twig_cmd =
      (optionally through a fault injector), questions and answers are
      write-ahead logged, and a crashed run picks up from its journal. *)
   let run_interactive files goal seed journal sync resume checkpoint_every
-      crash_after noise refusal timeout_rate retries breaker budget =
+      user budget =
     let file = List.hd files in
     let doc = load_doc file in
     let xpath =
@@ -663,9 +683,8 @@ let learn_twig_cmd =
     in
     let goal_q = or_die (Twig.Parse.query_result ~source:"--goal" xpath) in
     let config =
-      Printf.sprintf
-        "learn-twig file=%s goal=%s noise=%g refusal=%g timeout-rate=%g"
-        (Filename.basename file) xpath noise refusal timeout_rate
+      Printf.sprintf "learn-twig file=%s goal=%s %s" (Filename.basename file)
+        xpath user.faults
     in
     let js =
       start_journal ~path:journal ~resuming:resume ~engine:"learn-twig"
@@ -673,21 +692,16 @@ let learn_twig_cmd =
     in
     let rng = Core.Prng.create js.seed in
     let items = Twiglearn.Interactive.items_of_doc doc in
-    let base_oracle it = Twig.Eval.selects_example goal_q it in
-    let oracle =
-      simulated_user ~noise ~refusal ~timeout_rate ~crash_after ~rng
-        base_oracle
-    in
     let outcome =
-      run_journaled js Twiglearn.Interactive.encode_item (fun journal ->
+      run_journaled js user Twiglearn.Interactive.encode_item
+        (Twig.Eval.selects_example goal_q) (fun journal oracle ->
           Twiglearn.Interactive.Loop.run_flaky ~rng ~budget ?journal
             ~resume:
               ( js.raw_events,
                 Twiglearn.Interactive.decode_item ~doc,
                 Twiglearn.Interactive.decode_state ~doc )
             ~checkpoint_every ~snapshot:Twiglearn.Interactive.encode_state
-            ~retry:(retry_policy ~retries ~breaker)
-            ~oracle ~items ())
+            ~retry:user.retry ~oracle ~items ())
     in
     report_session ~questions:outcome.questions ~replayed:outcome.replayed
       ~pruned:outcome.pruned ~refused:outcome.refused ~retried:outcome.retried
@@ -699,11 +713,10 @@ let learn_twig_cmd =
       ~degraded:outcome.degraded "the learned twig"
   in
   let run () () files selects goal with_schema exact budget interactive seed
-      journal sync resume checkpoint_every crash_after noise refusal
-      timeout_rate retries breaker =
+      journal sync resume checkpoint_every user =
     if interactive || journal <> None then
-      run_interactive files goal seed journal sync resume checkpoint_every
-        crash_after noise refusal timeout_rate retries breaker budget
+      run_interactive files goal seed journal sync resume checkpoint_every user
+        budget
     else
     let docs = List.map load_doc files in
     match exact with
@@ -762,9 +775,7 @@ let learn_twig_cmd =
     Term.(const run $ telemetry_term $ pool_term $ doc_files
           $ selects $ goal $ with_schema
           $ exact $ budget_term $ interactive $ seed_term $ journal_arg
-          $ journal_sync_arg $ resume_arg $ checkpoint_every_arg
-          $ crash_after_arg $ noise_arg
-          $ refusal_arg $ timeout_rate_arg $ retries_arg $ breaker_arg)
+          $ journal_sync_arg $ resume_arg $ checkpoint_every_arg $ user_term)
 
 (* ------------------------------------------------------------------ *)
 (* learn-join                                                          *)
@@ -869,13 +880,11 @@ let learn_join_cmd =
       & opt (some file) None
       & info [ "right" ] ~docv:"CSV" ~doc:"Right relation as CSV.")
   in
-  let run_generated_join seed strategy_name strategy rows budget noise refusal
-      timeout_rate journal sync resume checkpoint_every crash_after retries
-      breaker =
+  let run_generated_join seed strategy_name strategy rows budget user journal
+      sync resume checkpoint_every =
     let config =
-      Printf.sprintf
-        "learn-join rows=%d strategy=%s noise=%g refusal=%g timeout-rate=%g"
-        rows strategy_name noise refusal timeout_rate
+      Printf.sprintf "learn-join rows=%d strategy=%s %s" rows strategy_name
+        user.faults
     in
     let js =
       start_journal ~path:journal ~resuming:resume ~engine:"learn-join"
@@ -895,25 +904,20 @@ let learn_join_cmd =
     in
     let items = Joinlearn.Interactive.items_of space inst.left inst.right in
     let goal_mask = Joinlearn.Signature.of_predicate space inst.planted in
-    let base_oracle (it : Joinlearn.Interactive.item) =
-      Joinlearn.Signature.subset goal_mask it.mask
-    in
-    let oracle =
-      simulated_user ~noise ~refusal ~timeout_rate ~crash_after ~rng
-        base_oracle
-    in
     let left = inst.left and right = inst.right in
     let outcome =
-      run_journaled js (Joinlearn.Interactive.encode_item ~left ~right)
-        (fun journal ->
+      run_journaled js user
+        (Joinlearn.Interactive.encode_item ~left ~right)
+        (fun (it : Joinlearn.Interactive.item) ->
+          Joinlearn.Signature.subset goal_mask it.mask)
+        (fun journal oracle ->
           Joinlearn.Interactive.Loop.run_flaky ~rng ~strategy ~budget ?journal
             ~resume:
               ( js.raw_events,
                 Joinlearn.Interactive.decode_item ~left ~right,
                 Joinlearn.Interactive.decode_state ~left ~right )
             ~checkpoint_every ~snapshot:Joinlearn.Interactive.encode_state
-            ~retry:(retry_policy ~retries ~breaker)
-            ~oracle ~items ())
+            ~retry:user.retry ~oracle ~items ())
     in
     (match outcome.query with
     | Some learned ->
@@ -927,8 +931,8 @@ let learn_join_cmd =
     exit_degraded_if ~breaker_open:outcome.breaker_open
       ~degraded:outcome.degraded "the predicate"
   in
-  let run () () seed strategy rows left right budget noise refusal timeout_rate
-      journal sync resume checkpoint_every crash_after retries breaker =
+  let run () () seed strategy rows left right budget user journal sync resume
+      checkpoint_every =
     let strategy_name =
       match strategy with
       | `First -> "first"
@@ -949,9 +953,8 @@ let learn_join_cmd =
         prerr_endline "need both --left and --right";
         exit Core.Error.exit_bad_input
     | None, None ->
-        run_generated_join seed strategy_name strategy_fn rows budget noise
-          refusal timeout_rate journal sync resume checkpoint_every crash_after
-          retries breaker
+        run_generated_join seed strategy_name strategy_fn rows budget user
+          journal sync resume checkpoint_every
   in
   Cmd.v
     (Cmd.info "learn-join"
@@ -961,10 +964,8 @@ let learn_join_cmd =
           instance with a simulated (possibly flaky) user, journaled and \
           resumable with --journal/--resume.")
     Term.(const run $ telemetry_term $ pool_term $ seed_term $ strategy_arg
-          $ rows_arg $ left_arg $ right_arg $ budget_term $ noise_arg
-          $ refusal_arg $ timeout_rate_arg $ journal_arg $ journal_sync_arg
-          $ resume_arg $ checkpoint_every_arg $ crash_after_arg $ retries_arg
-          $ breaker_arg)
+          $ rows_arg $ left_arg $ right_arg $ budget_term $ user_term
+          $ journal_arg $ journal_sync_arg $ resume_arg $ checkpoint_every_arg)
 
 (* ------------------------------------------------------------------ *)
 (* learn-path                                                          *)
@@ -981,11 +982,9 @@ let learn_path_cmd =
       & info [ "goal" ] ~docv:"REGEX" ~doc:"Hidden goal path query.")
   in
   let run () () seed cities goal budget journal sync resume checkpoint_every
-      crash_after noise refusal timeout_rate retries breaker =
+      user =
     let config =
-      Printf.sprintf
-        "learn-path cities=%d goal=%s noise=%g refusal=%g timeout-rate=%g"
-        cities goal noise refusal timeout_rate
+      Printf.sprintf "learn-path cities=%d goal=%s %s" cities goal user.faults
     in
     let js =
       start_journal ~path:journal ~resuming:resume ~engine:"learn-path"
@@ -995,23 +994,18 @@ let learn_path_cmd =
     let graph = Graphdb.Generators.geo ~rng ~cities () in
     let goal_dfa = Automata.Dfa.of_regex (Automata.Regex.parse goal) in
     let items = Pathlearn.Interactive.items_of_graph ~max_len:3 ~rng graph in
-    let base_oracle (it : Pathlearn.Interactive.item) =
-      Automata.Dfa.accepts goal_dfa it.word
-    in
-    let oracle =
-      simulated_user ~noise ~refusal ~timeout_rate ~crash_after ~rng
-        base_oracle
-    in
     let outcome =
-      run_journaled js Pathlearn.Interactive.encode_item (fun journal ->
+      run_journaled js user Pathlearn.Interactive.encode_item
+        (fun (it : Pathlearn.Interactive.item) ->
+          Automata.Dfa.accepts goal_dfa it.word)
+        (fun journal oracle ->
           Pathlearn.Interactive.Loop.run_flaky ~rng ~budget ?journal
             ~resume:
               ( js.raw_events,
                 Pathlearn.Interactive.decode_item,
                 Pathlearn.Interactive.decode_state )
             ~checkpoint_every ~snapshot:Pathlearn.Interactive.encode_state
-            ~retry:(retry_policy ~retries ~breaker)
-            ~oracle ~items ())
+            ~retry:user.retry ~oracle ~items ())
     in
     report_session ~questions:outcome.questions ~replayed:outcome.replayed
       ~pruned:outcome.pruned ~refused:outcome.refused ~retried:outcome.retried
@@ -1029,8 +1023,7 @@ let learn_path_cmd =
           journaled and resumable with --journal/--resume.")
     Term.(const run $ telemetry_term $ pool_term $ seed_term $ cities_arg
           $ goal_arg $ budget_term $ journal_arg $ journal_sync_arg
-          $ resume_arg $ checkpoint_every_arg $ crash_after_arg $ noise_arg
-          $ refusal_arg $ timeout_rate_arg $ retries_arg $ breaker_arg)
+          $ resume_arg $ checkpoint_every_arg $ user_term)
 
 (* ------------------------------------------------------------------ *)
 (* exchange                                                            *)

@@ -1,10 +1,24 @@
 type reply = Label of bool | Refused | Timed_out
-type profile = { noise : float; refusal : float; timeout : float }
 
-let reliable = { noise = 0.; refusal = 0.; timeout = 0. }
+(* Attempt 0 rolls refusal/timeout, then noise, from one stream keyed by
+   the question; a later attempt re-rolls only the first from its own. *)
+let user ~seed ~truth ~refusal ~timeout ~noise ?(attempt = 0) key =
+  let g = Prng.create (seed lxor Hashtbl.hash key) in
+  let first = Prng.int g 1000 in
+  let roll =
+    if attempt = 0 then first
+    else Prng.int (Prng.create (Hashtbl.hash (seed, key, attempt))) 1000
+  in
+  if roll < refusal then Refused
+  else if roll < refusal + timeout then Timed_out
+  else
+    let label = truth key in
+    Label (if Prng.int g 1000 < noise then not label else label)
+
+type profile = { noise : int; refusal : int; timeout : int }
 
 let rate name r =
-  if r < 0. || r > 1. then
+  if not (r >= 0. && r <= 1.) then
     invalid_arg (Printf.sprintf "Flaky: %s rate %g not in [0,1]" name r)
 
 let profile ?(noise = 0.) ?(refusal = 0.) ?(timeout = 0.) () =
@@ -13,26 +27,8 @@ let profile ?(noise = 0.) ?(refusal = 0.) ?(timeout = 0.) () =
   rate "timeout" timeout;
   if refusal +. timeout > 1. then
     invalid_arg "Flaky.profile: refusal + timeout exceeds 1";
-  { noise; refusal; timeout }
-
-let wrap ?(profile = reliable) ~rng oracle item =
-  let r = Prng.float rng 1.0 in
-  if r < profile.refusal then Refused
-  else if r < profile.refusal +. profile.timeout then Timed_out
-  else
-    let label = oracle item in
-    Label (if Prng.chance rng profile.noise then not label else label)
-
-(* ------------------------------------------------------------------ *)
-(* Fault plans: one seeded description of everything that can go wrong *)
-(* ------------------------------------------------------------------ *)
-
-(* PR 1 injected oracle faults here and PR 7 injects disk faults in
-   {!Vfs}; a [plan] carries both under a single seed so a chaos run (or a
-   fuzz case) is reproduced by one integer.  The oracle side draws from a
-   [Prng] stream derived from the seed; the disk side hands its rates to
-   [Vfs.faulty], which derives its own stream — the two fault sources are
-   independent but jointly deterministic. *)
+  let pm r = Float.to_int (Float.round (r *. 1000.)) in
+  { noise = pm noise; refusal = pm refusal; timeout = pm timeout }
 
 type disk = {
   enospc : float;
@@ -53,19 +49,3 @@ let disk ?(enospc = 0.) ?(eio = 0.) ?(short_write = 0.) ?(lying_fsync = 0.)
   rate "lying_fsync" lying_fsync;
   rate "torn" torn;
   { enospc; eio; short_write; lying_fsync; torn }
-
-type plan = { seed : int; oracle : profile; disk : disk }
-
-let plan ?(seed = 0) ?noise ?refusal ?timeout ?enospc ?eio ?short_write
-    ?lying_fsync ?torn () =
-  {
-    seed;
-    oracle = profile ?noise ?refusal ?timeout ();
-    disk = disk ?enospc ?eio ?short_write ?lying_fsync ?torn ();
-  }
-
-let no_faults = plan ()
-
-let wrap_plan p oracle =
-  let rng = Prng.create p.seed in
-  wrap ~profile:p.oracle ~rng oracle

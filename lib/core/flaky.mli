@@ -1,40 +1,44 @@
-(** Fault injection for interactive oracles — the crowdsourcing setting of
-    the paper's Section 3, where the "user" is a crowd worker who sometimes
-    answers wrong, declines a HIT, or never returns.
-
-    A {!profile} turns a reliable oracle into a flaky one; [Interact.Make.run_flaky]
-    drives a session against it, skipping refused/timed-out questions instead
-    of crashing, so sessions survive unreliable users.
-
-    Since the storage-robustness PR the module also owns the {e unified}
-    fault vocabulary: a {!plan} bundles oracle faults and {!Vfs} disk faults
-    under a single seed, so one integer reproduces an entire chaos run.  New
-    injection points should take a [plan] (or its [disk] half) instead of
-    growing their own ad-hoc switches. *)
+(** Fault injection: the simulated crowd worker of the paper's Section 3,
+    who sometimes answers a question (a paid HIT) wrong, declines it, or
+    never returns; and the disk faults {!Vfs.faulty} injects.
+    [Interact.Make.run_flaky] drives a session against the worker, setting
+    refused/timed-out questions aside instead of crashing. *)
 
 type reply =
   | Label of bool  (** an answer (possibly flipped by noise) *)
   | Refused  (** the user declined to answer this question *)
   | Timed_out  (** the answer never arrived *)
 
-type profile = {
-  noise : float;  (** probability an answer is flipped *)
-  refusal : float;  (** probability the user refuses *)
-  timeout : float;  (** probability the answer never arrives *)
-}
+val user :
+  seed:int ->
+  truth:(string -> bool) ->
+  refusal:int ->
+  timeout:int ->
+  noise:int ->
+  ?attempt:int ->
+  string ->
+  reply
+(** [user ~seed ~truth ~refusal ~timeout ~noise key] is the one simulated
+    user's reply to the question whose codec key is [key]: refused with
+    probability [refusal]‰, timed out with [timeout]‰, otherwise
+    [Label (truth key)] flipped with [noise]‰.  The draws come from a PRNG
+    seeded by [seed] and a hash of [key], never from the questions asked
+    before, so a resumed session gets its uninterrupted run's replies.
 
-val reliable : profile
-(** All zero: {!wrap} with it is the identity. *)
+    [attempt] (default 0) numbers the asks of one question, as when a
+    refused HIT is re-issued (DESIGN §6.2).  Attempt [n >= 1] re-rolls
+    only the refusal and the timeout, from ([seed], [key], [n]); the
+    label, noise flip included, is attempt 0's: a retry can rescue a
+    refusal but never changes an answer. *)
+
+type profile = { noise : int; refusal : int; timeout : int }
+(** Fault rates in ‰, as {!user} takes them. *)
 
 val profile : ?noise:float -> ?refusal:float -> ?timeout:float -> unit -> profile
-(** Fields default to 0.  @raise Invalid_argument when a rate is outside
-    [0,1] or refusal + timeout exceeds 1. *)
+(** Probabilities rounded to ‰; each defaults to 0.  @raise Invalid_argument
+    when a rate is outside [0,1] or refusal + timeout exceeds 1. *)
 
-val wrap : ?profile:profile -> rng:Prng.t -> ('item -> bool) -> 'item -> reply
-(** [wrap ~rng oracle] injects the profile's faults into [oracle], drawing
-    from [rng] (deterministic under a fixed seed). *)
-
-(** {2 Fault plans}
+(** {2 Disk faults}
 
     What real disks do to a write-ahead log: refuse the bytes ([enospc],
     [eio]), take only some of them ([short_write]), acknowledge an fsync
@@ -66,27 +70,3 @@ val disk :
   unit ->
   disk
 (** Rates default to 0.  @raise Invalid_argument outside [0,1]. *)
-
-type plan = { seed : int; oracle : profile; disk : disk }
-(** Everything that can go wrong in one seeded value: crowd-worker faults
-    on the oracle side, disk faults on the storage side. *)
-
-val plan :
-  ?seed:int ->
-  ?noise:float ->
-  ?refusal:float ->
-  ?timeout:float ->
-  ?enospc:float ->
-  ?eio:float ->
-  ?short_write:float ->
-  ?lying_fsync:float ->
-  ?torn:float ->
-  unit ->
-  plan
-
-val no_faults : plan
-
-val wrap_plan : plan -> ('item -> bool) -> 'item -> reply
-(** {!wrap} drawing from a stream derived from the plan's seed — the oracle
-    half of the plan.  Hand the same plan to [Vfs.faulty] for the disk
-    half; the two streams are independent but jointly deterministic. *)

@@ -39,8 +39,9 @@ let fault_to_string f =
   Printf.sprintf "%s(%s) on %s" f.f_op (kind_to_string f.f_kind) f.f_path
 
 type faulty = {
-  rng : Prng.t;
+  seed : int;
   disk : Flaky.disk;
+  streams : (string, Prng.t) Hashtbl.t;  (* path -> its own fault stream *)
   mutable full : bool;  (* scripted ENOSPC: every allocation refused *)
   mutable stall_s : float;  (* scripted latency: every fsync sleeps this *)
   written : (string, int) Hashtbl.t;  (* path -> bytes the app wrote *)
@@ -62,8 +63,9 @@ let real = Real
 let faulty ?(seed = 0) disk =
   Faulty
     {
-      rng = Prng.create seed;
+      seed;
       disk;
+      streams = Hashtbl.create 16;
       full = false;
       stall_s = 0.;
       written = Hashtbl.create 16;
@@ -72,16 +74,29 @@ let faulty ?(seed = 0) disk =
       m = Mutex.create ();
     }
 
-(* The plan's seed feeds both the oracle stream (Flaky.wrap_plan) and this
-   one; xor-folding a constant in keeps the two streams decorrelated while
-   the pair stays reproducible from the single plan seed. *)
-let of_plan (p : Flaky.plan) = faulty ~seed:(p.seed lxor 0x56f5) p.disk
-
-let is_faulty = function Real -> false | Faulty _ -> true
-
 let locked st f =
   Mutex.lock st.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.m) f
+
+(* Each file draws its faults from its own stream, so what one file
+   suffers does not depend on how domains interleave their work on other
+   files.  The stream is seeded by the file's name without what differs
+   between runs: the directory, and the pid in the lock dance's
+   [<journal>.lock.<pid>.tmp].  Called under the lock. *)
+let stream st path =
+  match Hashtbl.find_opt st.streams path with
+  | Some g -> g
+  | None ->
+      let pid = Printf.sprintf ".%d.tmp" (Unix.getpid ()) in
+      let name = Filename.basename path in
+      let name =
+        if String.ends_with ~suffix:pid name then
+          Filename.chop_suffix name pid ^ ".tmp"
+        else name
+      in
+      let g = Prng.create (st.seed lxor Hashtbl.hash name) in
+      Hashtbl.add st.streams path g;
+      g
 
 let note st path op kind =
   let f = { f_path = path; f_op = op; f_kind = kind } in
@@ -156,22 +171,22 @@ let append t fh s =
     | Faulty st -> (
         let verdict =
           locked st (fun () ->
-              let d = st.disk in
+              let d = st.disk and rng = stream st fh.fh_path in
               if st.full then begin
                 note st fh.fh_path "append" Enospc;
                 `Fail Unix.ENOSPC
               end
-              else if Prng.chance st.rng d.enospc then begin
+              else if Prng.chance rng d.enospc then begin
                 note st fh.fh_path "append" Enospc;
                 `Fail Unix.ENOSPC
               end
-              else if Prng.chance st.rng d.eio then begin
+              else if Prng.chance rng d.eio then begin
                 note st fh.fh_path "append" Eio;
                 `Fail Unix.EIO
               end
-              else if String.length s > 1 && Prng.chance st.rng d.short_write
+              else if String.length s > 1 && Prng.chance rng d.short_write
               then begin
-                let n = Prng.int_in st.rng 1 (String.length s - 1) in
+                let n = Prng.int_in rng 1 (String.length s - 1) in
                 note st fh.fh_path "append" (Short_write n);
                 `Short n
               end
@@ -216,7 +231,7 @@ let fsync t fh =
   | Real -> ()
   | Faulty st ->
       locked st (fun () ->
-          if Prng.chance st.rng st.disk.lying_fsync then
+          if Prng.chance (stream st fh.fh_path) st.disk.lying_fsync then
             (* The drive acked the barrier without writing through: the
                caller believes these bytes are safe; [crash] will drop
                them anyway. *)
@@ -311,12 +326,6 @@ let read_file _t path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let pread t path ~off ~len =
-  let whole = read_file t path in
-  let n = String.length whole in
-  if off >= n then ""
-  else String.sub whole off (min len (n - off))
-
 (* ------------------------------------------------------------------ *)
 (* Crash simulation                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -332,12 +341,13 @@ let crash t =
                 Option.value ~default:0 (Hashtbl.find_opt st.durable path)
               in
               if written > durable && Sys.file_exists path then begin
+                let rng = stream st path in
                 let keep =
-                  if written - durable > 1 && Prng.chance st.rng st.disk.torn
+                  if written - durable > 1 && Prng.chance rng st.disk.torn
                   then begin
                     (* Tear: a strict prefix of the lost tail survives,
                        splitting a framed record at a fuzzed offset. *)
-                    let k = Prng.int_in st.rng 1 (written - durable - 1) in
+                    let k = Prng.int_in rng 1 (written - durable - 1) in
                     note st path "crash" (Torn k);
                     durable + k
                   end

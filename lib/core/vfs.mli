@@ -28,20 +28,14 @@ type fault_kind =
 
 type fault = { f_path : string; f_op : string; f_kind : fault_kind }
 
-val fault_to_string : fault -> string
-
 val real : t
 (** Passthrough to [Unix]; zero overhead, injects nothing. *)
 
 val faulty : ?seed:int -> Flaky.disk -> t
-(** A fault-injecting backend drawing from [Prng.create seed].
-    Thread-safe: registry pools may hit it from several domains. *)
-
-val of_plan : Flaky.plan -> t
-(** The disk half of a {!Flaky.plan}; the backend's stream is derived from
-    the plan's seed but decorrelated from the oracle stream. *)
-
-val is_faulty : t -> bool
+(** A fault-injecting backend.  Each file draws from its own stream,
+    seeded by [seed] and the file's base name, so its faults are the same
+    however domains interleave.  Thread-safe: registry pools may hit it
+    from several domains. *)
 
 (** {2 Write side — faults injected here} *)
 
@@ -79,7 +73,6 @@ val exists : t -> string -> bool
 val size : t -> string -> int
 val readdir : t -> string -> string array
 val read_file : t -> string -> string
-val pread : t -> string -> off:int -> len:int -> string
 
 (** {2 Fault control} *)
 

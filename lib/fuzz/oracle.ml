@@ -1052,9 +1052,9 @@ let with_temp_dir prefix f =
 
 (* A client whose reply to a question is a pure function of the question:
    crash and re-ask as often as you like, the answer never changes. *)
-let serve_client c truth =
-  Server.Engines.user c.sc_spec ~truth ~refusal:c.sc_refusal
-    ~timeout:c.sc_timeout ~noise:c.sc_noise
+let serve_client c truth key =
+  Core.Flaky.user ~seed:c.sc_spec.seed ~truth ~refusal:c.sc_refusal
+    ~timeout:c.sc_timeout ~noise:c.sc_noise key
 
 (* Answer with [client] until the session finishes or [stop_after] answers
    are in; returns the questions answered (codec keys, in order) and the

@@ -200,8 +200,8 @@ let decode_state ~left ~right s =
                   }))
   | _ -> Error "not a join state snapshot"
 
-let run_with_goal ?(rng = Core.Prng.create 0) ?strategy ?budget ?profile ?retry
-    ~left ~right ~goal () =
+let run_with_goal ?(rng = Core.Prng.create 0) ?strategy ?budget ~left ~right
+    ~goal () =
   let space =
     Signature.space
       ~left_arity:(Relational.Relation.arity left)
@@ -210,11 +210,4 @@ let run_with_goal ?(rng = Core.Prng.create 0) ?strategy ?budget ?profile ?retry
   let goal_mask = Signature.of_predicate space goal in
   let items = items_of space left right in
   let oracle it = Signature.subset goal_mask it.mask in
-  match profile with
-  | None -> Loop.run ~rng ?strategy ?budget ~oracle ~items ()
-  | Some profile ->
-      (* The crowdsourcing simulation: the goal-holding user answers through
-         a fault injector. *)
-      Loop.run_flaky ~rng ?strategy ?budget ?retry
-        ~oracle:(Core.Flaky.wrap ~profile ~rng oracle)
-        ~items ()
+  Loop.run ~rng ?strategy ?budget ~oracle ~items ()

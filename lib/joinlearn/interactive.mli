@@ -64,8 +64,6 @@ val run_with_goal :
   ?rng:Core.Prng.t ->
   ?strategy:(Session.state, item) Core.Interact.strategy ->
   ?budget:Core.Budget.t ->
-  ?profile:Core.Flaky.profile ->
-  ?retry:Core.Retry.policy ->
   left:Relational.Relation.t ->
   right:Relational.Relation.t ->
   goal:Relational.Algebra.predicate ->
@@ -73,6 +71,4 @@ val run_with_goal :
   Loop.outcome
 (** Simulates the user: a pair is positive iff it satisfies [goal].
     [budget] bounds the session (the outcome's [degraded] flag reports a
-    trip); [profile] injects crowd-worker faults — noise, refusals,
-    timeouts — via {!Core.Flaky}; [retry] re-asks refused/timed-out
-    questions with backoff (see {!Core.Interact.Make.run_flaky}). *)
+    trip). *)

@@ -134,13 +134,8 @@ let decode_state s =
       collect [] [] lines)
   | _ -> Error "not a path state snapshot"
 
-let run_with_goal ?(rng = Core.Prng.create 0) ?strategy ?budget ?profile ?retry
-    ?max_len ~graph ~goal () =
+let run_with_goal ?(rng = Core.Prng.create 0) ?strategy ?budget ?max_len ~graph
+    ~goal () =
   let items = items_of_graph ?max_len ~rng graph in
   let oracle (it : item) = Automata.Dfa.accepts goal it.word in
-  match profile with
-  | None -> Loop.run ~rng ?strategy ?budget ~oracle ~items ()
-  | Some profile ->
-      Loop.run_flaky ~rng ?strategy ?budget ?retry
-        ~oracle:(Core.Flaky.wrap ~profile ~rng oracle)
-        ~items ()
+  Loop.run ~rng ?strategy ?budget ~oracle ~items ()

@@ -52,8 +52,6 @@ val run_with_goal :
   ?rng:Core.Prng.t ->
   ?strategy:(Session.state, item) Core.Interact.strategy ->
   ?budget:Core.Budget.t ->
-  ?profile:Core.Flaky.profile ->
-  ?retry:Core.Retry.policy ->
   ?max_len:int ->
   graph:Graphdb.Graph.t ->
   goal:Automata.Dfa.t ->
@@ -61,5 +59,4 @@ val run_with_goal :
   Loop.outcome
 (** Oracle: a path is positive iff its word is in the goal language.
     [budget] bounds the session; on exhaustion the outcome carries the
-    current hypothesis with [degraded = true].  [profile] injects
-    crowd-worker faults; [retry] re-asks refused/timed-out questions. *)
+    current hypothesis with [degraded = true]. *)

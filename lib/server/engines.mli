@@ -9,8 +9,9 @@
     daemon stores nothing else.
 
     {!oracle} turns a spec plus a goal description into a labeling
-    function, and {!user} into the simulated crowd user that the serve
-    benches and the server fuzz oracles answer their questions with. *)
+    function; {!Core.Flaky.user} with the spec's seed makes it the
+    simulated crowd user that the serve benches and the server fuzz
+    oracles answer their questions with. *)
 
 type spec = {
   engine : string;  (** ["twig"], ["join"], or ["path"] *)
@@ -26,16 +27,12 @@ val default_spec : spec
 val config_of_spec : spec -> string
 (** Canonical [key=value] line stored in the journal header. *)
 
-val max_scale : float
-val max_rows : int
-val max_cities : int
-(** Instance-size ceilings enforced by {!validate}: a spec fresh off the
-    wire or replayed from a journal header must not be able to allocate an
-    arbitrarily large instance on a pool domain. *)
-
 val validate : spec -> (spec, string) result
 (** Checks the engine name and that [scale]/[rows]/[cities] are positive,
-    finite, and within the ceilings above. *)
+    finite, and within instance-size ceilings (scale 2, 512 rows, 512
+    cities): a spec fresh off the wire or replayed from a journal header
+    must not be able to allocate an arbitrarily large instance on a pool
+    domain. *)
 
 val spec_of_config : string -> (spec, string) result
 (** Inverse of {!config_of_spec} (order-insensitive, unknown keys are
@@ -70,20 +67,3 @@ val oracle : spec -> goal:string -> (string -> bool, Core.Error.t) result
     field), simulating a user who holds [goal]: twig — a twig query string;
     join — ["planted"] for the instance's hidden predicate; path — a
     regular expression over edge labels. *)
-
-val user :
-  spec ->
-  truth:(string -> bool) ->
-  refusal:int ->
-  timeout:int ->
-  noise:int ->
-  string ->
-  Core.Flaky.reply
-(** [user spec ~truth ~refusal ~timeout ~noise key] is the simulated user's
-    reply to question [key]: refused with probability [refusal]‰, timed out
-    with [timeout]‰, otherwise [Label (truth key)] flipped with [noise]‰.
-    The draws come from a PRNG seeded by the spec's seed and a hash of
-    [key], so the reply is a pure function of the question: a session
-    re-asked after a crash sees the same replies in the same order as an
-    uninterrupted one, which is what the server's crash-equivalence checks
-    rely on.  Zero rates give [Label (truth key)]. *)

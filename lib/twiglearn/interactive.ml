@@ -302,13 +302,7 @@ let decode_state ~doc s =
       refold (Session.init []) lines)
   | _ -> Error "not a twig state snapshot"
 
-let run_with_goal ?rng ?strategy ?budget ?profile ?retry ~doc ~goal () =
-  let items = items_of_doc doc in
-  let oracle (item : item) = Twig.Eval.selects_example goal item in
-  match profile with
-  | None -> Loop.run ?rng ?strategy ?budget ~oracle ~items ()
-  | Some profile ->
-      let rng = match rng with Some r -> r | None -> Core.Prng.create 0 in
-      Loop.run_flaky ~rng ?strategy ?budget ?retry
-        ~oracle:(Core.Flaky.wrap ~profile ~rng oracle)
-        ~items ()
+let run_with_goal ?rng ?strategy ?budget ~doc ~goal () =
+  Loop.run ?rng ?strategy ?budget
+    ~oracle:(Twig.Eval.selects_example goal)
+    ~items:(items_of_doc doc) ()

@@ -80,12 +80,9 @@ val run_with_goal :
   ?rng:Core.Prng.t ->
   ?strategy:(Session.state, item) Core.Interact.strategy ->
   ?budget:Core.Budget.t ->
-  ?profile:Core.Flaky.profile ->
-  ?retry:Core.Retry.policy ->
   doc:Xmltree.Tree.t ->
   goal:Twig.Query.t ->
   unit ->
   Loop.outcome
 (** Simulates the user with the goal query as oracle over all nodes of
-    [doc].  [profile] injects crowd-worker faults; [retry] re-asks
-    refused/timed-out questions (see {!Core.Interact.Make.run_flaky}). *)
+    [doc]. *)

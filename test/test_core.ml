@@ -499,6 +499,60 @@ let test_retry_budget_stops_retrying () =
   | _ -> Alcotest.fail "exhausted budget must stop the retry loop"
 
 (* ------------------------------------------------------------------ *)
+(* Flaky: the one simulated user                                       *)
+(* ------------------------------------------------------------------ *)
+
+let flaky_truth key = String.length key mod 2 = 0
+let flaky_keys = List.init 300 (Printf.sprintf "q%d")
+
+let flaky_user ?attempt ?(refusal = 200) ?(timeout = 100) ?(noise = 100) key =
+  Core.Flaky.user ~seed:41 ~truth:flaky_truth ~refusal ~timeout ~noise
+    ?attempt key
+
+(* A reply is a pure function of (seed, question), so crash and re-ask in
+   any order and the answers never change. *)
+let test_flaky_user_keyed () =
+  let forward = List.map flaky_user flaky_keys in
+  let backward = List.rev (List.map flaky_user (List.rev flaky_keys)) in
+  Alcotest.(check bool) "same replies in any call order" true
+    (forward = backward);
+  Alcotest.(check bool) "refusals, timeouts and noise all drawn" true
+    (List.mem Core.Flaky.Refused forward
+    && List.mem Core.Flaky.Timed_out forward
+    && List.exists2
+         (fun k r -> r = Core.Flaky.Label (not (flaky_truth k)))
+         flaky_keys forward)
+
+(* A re-issued question re-rolls its refusal and timeout only: some
+   question refused at attempt 0 is answered later, and every answer at
+   any attempt is the label drawn with no refusal at all.  Zero and full
+   rates decide every attempt. *)
+let test_flaky_retry_rerolls_refusal_only () =
+  let answered k r = r = flaky_user ~refusal:0 ~timeout:0 k in
+  let rescued =
+    List.filter
+      (fun k ->
+        let replies = List.init 4 (fun attempt -> flaky_user ~attempt k) in
+        List.iteri
+          (fun attempt r ->
+            let at = flaky_user ~attempt in
+            Alcotest.(check bool) ("one answer for " ^ k) true
+              ((r = Core.Flaky.Refused || r = Core.Flaky.Timed_out
+               || answered k r)
+              && at ~refusal:0 ~timeout:0 ~noise:0 k
+                 = Core.Flaky.Label (flaky_truth k)
+              && at ~refusal:0 ~timeout:0 ~noise:1000 k
+                 = Core.Flaky.Label (not (flaky_truth k))
+              && at ~refusal:1000 k = Core.Flaky.Refused
+              && at ~refusal:0 ~timeout:1000 k = Core.Flaky.Timed_out))
+          replies;
+        List.hd replies = Core.Flaky.Refused
+        && List.exists (answered k) replies)
+      flaky_keys
+  in
+  Alcotest.(check bool) "a retry rescues some refusals" true (rescued <> [])
+
+(* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -728,6 +782,13 @@ let () =
             test_retry_half_open_two_probes;
           Alcotest.test_case "budget stops retrying" `Quick
             test_retry_budget_stops_retrying;
+        ] );
+      ( "flaky",
+        [
+          Alcotest.test_case "simulated user is keyed by the question" `Quick
+            test_flaky_user_keyed;
+          Alcotest.test_case "a retry re-rolls only the refusal" `Quick
+            test_flaky_retry_rerolls_refusal_only;
         ] );
       ( "pool",
         [

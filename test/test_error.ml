@@ -170,35 +170,22 @@ let test_flaky_profile_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "refusal + timeout > 1 must be rejected"
 
-let test_flaky_wrap () =
-  let rng = Core.Prng.create 7 in
-  let oracle _ = true in
-  (* The reliable profile is the identity. *)
-  for _ = 1 to 50 do
-    match Core.Flaky.wrap ~rng oracle () with
-    | Core.Flaky.Label true -> ()
-    | _ -> Alcotest.fail "reliable wrap must relay the oracle"
-  done;
-  (* Full noise always flips; full refusal never answers. *)
-  let noisy = Core.Flaky.profile ~noise:1.0 () in
-  (match Core.Flaky.wrap ~profile:noisy ~rng oracle () with
-  | Core.Flaky.Label false -> ()
-  | _ -> Alcotest.fail "noise 1.0 must flip");
-  let refusing = Core.Flaky.profile ~refusal:1.0 () in
-  match Core.Flaky.wrap ~profile:refusing ~rng oracle () with
-  | Core.Flaky.Refused -> ()
-  | _ -> Alcotest.fail "refusal 1.0 must refuse"
-
 let join_instance seed =
   let rng = Core.Prng.create seed in
   Relational.Generator.pair_instance ~rng ~left_rows:6 ~right_rows:6 ()
 
 let test_session_survives_refusals () =
   let inst = join_instance 11 in
-  let profile = Core.Flaky.profile ~refusal:1.0 () in
+  let space =
+    Joinlearn.Signature.space
+      ~left_arity:(Relational.Relation.arity inst.left)
+      ~right_arity:(Relational.Relation.arity inst.right)
+  in
   let outcome =
-    Joinlearn.Interactive.run_with_goal ~profile ~left:inst.left
-      ~right:inst.right ~goal:inst.planted ()
+    Joinlearn.Interactive.Loop.run_flaky
+      ~oracle:(fun _ -> Core.Flaky.Refused)
+      ~items:(Joinlearn.Interactive.items_of space inst.left inst.right)
+      ()
   in
   Alcotest.(check int) "nothing asked" 0 outcome.questions;
   Alcotest.(check bool) "refusals counted" true (outcome.refused > 0);
@@ -267,7 +254,6 @@ let () =
         [
           Alcotest.test_case "profile validation" `Quick
             test_flaky_profile_validation;
-          Alcotest.test_case "wrap" `Quick test_flaky_wrap;
           Alcotest.test_case "session survives refusals" `Quick
             test_session_survives_refusals;
           Alcotest.test_case "session budget degrades" `Quick

@@ -2,7 +2,7 @@
 
    The golden tests pin the exact journal bytes of one uninterrupted,
    journaled session per engine, driven two ways: through the batch loop
-   ([Loop.run_flaky]: a seeded flaky user, a retry policy, periodic
+   ([Loop.run_flaky]: the CLI's keyed flaky user, a retry policy, periodic
    checkpoints) and through the server's [Stepper] (seeded replies,
    periodic checkpoints).  The digests are constants: any change to the
    session protocol's question order, pruning, refusal handling, or
@@ -43,7 +43,16 @@ let journaled_digest ~engine f =
 (* Batch loop: one flaky, retried, checkpointed session per engine      *)
 (* ------------------------------------------------------------------ *)
 
-let profile = Core.Flaky.profile ~refusal:0.25 ~timeout:0.1 ()
+(* The CLI's simulated user: keyed by the journal codec, each ask of a
+   question one attempt on.  Seed 1 makes join's short session retry. *)
+let user encode truth =
+  let asks = Hashtbl.create 64 in
+  fun it ->
+    let key = encode it in
+    let attempt = Option.value ~default:0 (Hashtbl.find_opt asks key) in
+    Hashtbl.replace asks key (attempt + 1);
+    Core.Flaky.user ~seed:1 ~truth:(fun _ -> truth it) ~refusal:250
+      ~timeout:100 ~noise:0 ~attempt key
 
 let retry =
   Core.Retry.policy ~max_attempts:2 ~base_delay:0. ~breaker_threshold:100
@@ -68,7 +77,8 @@ let loop_twig () =
           ~checkpoint_every:3 ~snapshot:Twiglearn.Interactive.encode_state
           ~retry
           ~oracle:
-            (Core.Flaky.wrap ~profile ~rng (Twig.Eval.selects_example goal))
+            (user Twiglearn.Interactive.encode_item
+               (Twig.Eval.selects_example goal))
           ~items:(Twiglearn.Interactive.items_of_doc doc)
           ()
       in
@@ -95,7 +105,7 @@ let loop_join () =
           ~checkpoint_every:3 ~snapshot:Joinlearn.Interactive.encode_state
           ~retry
           ~oracle:
-            (Core.Flaky.wrap ~profile ~rng (fun it ->
+            (user (Joinlearn.Interactive.encode_item ~left ~right) (fun it ->
                  Joinlearn.Signature.subset goal it.Joinlearn.Interactive.mask))
           ~items:(Joinlearn.Interactive.items_of space left right)
           ()
@@ -116,7 +126,7 @@ let loop_path () =
           ~checkpoint_every:3 ~snapshot:Pathlearn.Interactive.encode_state
           ~retry
           ~oracle:
-            (Core.Flaky.wrap ~profile ~rng (fun it ->
+            (user Pathlearn.Interactive.encode_item (fun it ->
                  Automata.Dfa.accepts goal it.Pathlearn.Interactive.word))
           ~items:(Pathlearn.Interactive.items_of_graph ~max_len:3 ~rng graph)
           ()
@@ -172,9 +182,9 @@ let golden name expected run () =
 
 let golden_cases =
   [
-    ("loop twig", "7b308f0b2fd20b875ec0844b76ebc361", loop_twig);
-    ("loop join", "e313a26b4108a4d3346b5b32c1c36b46", loop_join);
-    ("loop path", "f8c18effc0b8843cc1cae0e687eebbb7", loop_path);
+    ("loop twig", "c017a692897fc6a1bb77f74d976b567c", loop_twig);
+    ("loop join", "033cf2d66c50bf75e109ffcc60acfde7", loop_join);
+    ("loop path", "f113660215de5f58a90c06ab5814e828", loop_path);
     ( "stepper twig",
       "6def9965d2dd22ca692aeaecc639aa21",
       fun () -> stepper_digest (spec "twig") "//person/name" );
@@ -289,6 +299,24 @@ let test_resume_qid_counts_asks () =
             [ key b; key c ] ck.Core.Journal.ck_answered
       | _ -> Alcotest.fail "the resumed run took no checkpoint")
 
+(* A fault rate the CLI rejects exits 64 before any journal exists, so a
+   corrected rerun is not refused as "recorded with different
+   parameters". *)
+let test_rejected_rate_leaves_no_journal () =
+  with_temp_dir (fun dir ->
+      let journal = Filename.concat dir "session.journal" in
+      List.iter
+        (fun args ->
+          let what = String.concat " " args in
+          Alcotest.(check int) (what ^ " exits 64") 64
+            (learnq (args @ [ "--journal"; journal ]));
+          Alcotest.(check int) (what ^ " leaves no file") 0
+            (Array.length (Sys.readdir dir)))
+        [
+          [ "learn-join"; "--rows"; "5"; "--noise"; "1.5" ];
+          [ "learn-path"; "--refusal"; "0.7"; "--timeout-rate"; "0.7" ];
+        ])
+
 let () =
   Alcotest.run "golden"
     [
@@ -303,5 +331,7 @@ let () =
             test_resume_asks_once;
           Alcotest.test_case "qid counts asked records" `Quick
             test_resume_qid_counts_asks;
+          Alcotest.test_case "a rejected rate leaves no journal" `Quick
+            test_rejected_rate_leaves_no_journal;
         ] );
     ]

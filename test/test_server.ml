@@ -183,31 +183,6 @@ let test_engines_spec_limits () =
   | Ok s -> Alcotest.(check bool) "roundtrip" true (s = Engines.default_spec)
   | Error e -> Alcotest.failf "default spec refused: %s" e
 
-(* The simulated user of the serve benches and the server fuzz oracles:
-   a reply is a pure function of (spec, question), so crash and re-ask in
-   any order and the answers never change. *)
-let test_engines_user_pure () =
-  let spec = { Engines.default_spec with Engines.seed = 41 } in
-  let truth key = String.length key mod 2 = 0 in
-  let user () = Engines.user spec ~truth ~refusal:200 ~timeout:100 ~noise:100 in
-  let keys = List.init 300 (Printf.sprintf "q%d") in
-  let forward = List.map (user ()) keys in
-  let backward = List.rev (List.map (user ()) (List.rev keys)) in
-  Alcotest.(check bool) "same replies in any call order" true
-    (forward = backward);
-  Alcotest.(check bool) "refusals, timeouts and noise all drawn" true
-    (List.mem Core.Flaky.Refused forward
-    && List.mem Core.Flaky.Timed_out forward
-    && List.exists2
-         (fun k r -> r = Core.Flaky.Label (not (truth k)))
-         keys forward);
-  let exact = Engines.user spec ~truth ~refusal:0 ~timeout:0 ~noise:0 in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) ("zero rates label " ^ k) true
-        (exact k = Core.Flaky.Label (truth k)))
-    keys
-
 (* ------------------------------------------------------------------ *)
 (* Stepper: the server's side of the session core                     *)
 (* ------------------------------------------------------------------ *)
@@ -1314,8 +1289,6 @@ let () =
         [
           Alcotest.test_case "spec limits enforced" `Quick
             test_engines_spec_limits;
-          Alcotest.test_case "simulated user is keyed by the question" `Quick
-            test_engines_user_pure;
         ] );
       ( "stepper",
         [

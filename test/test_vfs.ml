@@ -34,8 +34,6 @@ let test_real_roundtrip () =
       Alcotest.(check bool) "exists" true (Vfs.exists vfs path);
       Alcotest.(check int) "size" 11 (Vfs.size vfs path);
       Alcotest.(check string) "contents" "hello world" (Vfs.read_file vfs path);
-      Alcotest.(check string) "pread" "world"
-        (Vfs.pread vfs path ~off:6 ~len:5);
       let path2 = Filename.concat dir "b" in
       Vfs.rename vfs path path2;
       Alcotest.(check bool) "renamed away" false (Vfs.exists vfs path);
@@ -188,6 +186,47 @@ let test_reopen_after_crash_counts_survivors_durable () =
       Alcotest.(check string) "pre-existing bytes survive, new tail dropped"
         "first" (Vfs.read_file vfs path))
 
+(* Two domains write two files of one faulty backend, one after the other
+   in either order and then at once: each file gets the same faults every
+   time, whatever the other domain did in between. *)
+let test_fault_streams_per_file () =
+  let faults_by_file schedule =
+    with_temp_dir (fun dir ->
+        let vfs =
+          Vfs.faulty ~seed:17
+            (Core.Flaky.disk ~enospc:0.1 ~eio:0.1 ~short_write:0.1
+               ~lying_fsync:0.3 ~torn:0.5 ())
+        in
+        let write name () =
+          let fh = Vfs.openf vfs (Filename.concat dir name) in
+          for i = 1 to 50 do
+            (try Vfs.append vfs fh (string_of_int i)
+             with Unix.Unix_error _ -> ());
+            Vfs.fsync vfs fh
+          done;
+          Vfs.close vfs fh
+        in
+        schedule (write "a") (write "b");
+        Vfs.crash vfs;
+        let of_file name (f : Vfs.fault) =
+          if Filename.basename f.f_path = name then Some (f.f_op, f.f_kind)
+          else None
+        in
+        List.map (fun name -> List.filter_map (of_file name) (Vfs.faults vfs))
+          [ "a"; "b" ])
+  in
+  let in_turn a b = List.iter (fun f -> Domain.(join (spawn f))) [ a; b ] in
+  let a_then_b = faults_by_file in_turn in
+  Alcotest.(check bool) "faults were injected" true
+    (List.for_all (( <> ) []) a_then_b);
+  Alcotest.(check bool) "each file's faults do not depend on the order" true
+    (faults_by_file (fun a b -> in_turn b a) = a_then_b
+    && faults_by_file (fun a b ->
+           let d = Domain.spawn a in
+           b ();
+           Domain.join d)
+       = a_then_b)
+
 let () =
   Alcotest.run "vfs"
     [
@@ -212,5 +251,10 @@ let () =
             test_torn_crash_keeps_strict_prefix_of_tail;
           Alcotest.test_case "reopened bytes count durable" `Quick
             test_reopen_after_crash_counts_survivors_durable;
+        ] );
+      ( "streams",
+        [
+          Alcotest.test_case "each file has its own fault stream" `Quick
+            test_fault_streams_per_file;
         ] );
     ]
