@@ -1,19 +1,18 @@
-(* The hot-path performance pass (PR 4): incremental LGG, memoized
-   characteristics, the hash-consed containment cache, and the multicore
-   determined-scan, measured end-to-end on the interactive learn-twig
-   session that BENCH_PR3 profiled ([twig.lgg] was 62% of wall time there).
+(* The hot path of interactive twig learning: incremental LGG, the spine
+   precheck of each determined-probe, and the hash-consed containment
+   cache, measured end-to-end on the interactive learn-twig session that
+   BENCH_PR3 profiled ([twig.lgg] was 62% of wall time there).
 
-   Every row plays the *same* deterministic session — the session module
-   and the pool size change how fast the answers are computed, never which
-   questions are asked; [questions_agree] in the output asserts it.  The
-   baseline row is the reference session, [Interactive.Batch], which
-   refolds the positives per answer and per probe.  Every row runs on the
-   index-backed evaluator with the characteristic and containment memos.
+   Both rows play the *same* deterministic session — the session module
+   changes how fast the answers are computed, never which questions are
+   asked; [questions_agree] in the output asserts it.  The baseline row is
+   the reference session, [Interactive.Batch], which refolds the positives
+   per answer and per probe.  Both rows run on the index-backed evaluator.
 
-   Each row times repeats of one session in one process, so a later rep
-   reuses the merges an earlier rep left in the per-domain memos (the
-   probe memo shares extensions across the sessions of one document).  The
-   incremental rows' speedup is a repeat-session figure.
+   Each row times repeats of one session in one process.  No learner memo
+   carries over between reps; the [Twig.Eval] and [Twig.Contain] caches
+   still do, so a later rep can reuse the evaluation masks and containment
+   verdicts an earlier rep computed.
 
    Results go to BENCH_PR4.json — machine-readable, for the CI artifact and
    the >= 2x learn-twig speedup gate (target 3x). *)
@@ -31,29 +30,25 @@ let warmup = 2
 type config = {
   c_name : string;
   c_batch : bool;  (* the reference session, [Interactive.Batch] *)
-  c_pool : int;  (* determined-scan lanes *)
 }
 
 let configs =
   [
-    { c_name = "baseline"; c_batch = true; c_pool = 1 };
-    { c_name = "incremental"; c_batch = false; c_pool = 1 };
-    { c_name = "incremental+pool2"; c_batch = false; c_pool = 2 };
-    { c_name = "incremental+pool4"; c_batch = false; c_pool = 4 };
+    { c_name = "baseline"; c_batch = true };
+    { c_name = "incremental"; c_batch = false };
   ]
 
-(* [twig_workload () c pool ()] plays one session under [c] on [pool] and
-   returns the number of questions asked. *)
+(* [twig_workload () c ()] plays one session under [c] and returns the
+   number of questions asked. *)
 let twig_workload () =
   let doc = Benchkit.Xmark.generate ~scale:1.0 ~seed:1 () in
   let goal = Twig.Parse.query "//person[profile/education]/name" in
   let items = TI.items_of_doc doc in
   let oracle it = Core.Flaky.Label (Twig.Eval.selects_example goal it) in
-  fun c pool () ->
+  fun c () ->
     let rng = Core.Prng.create 1 in
-    if c.c_batch then
-      (TI.Batch.Loop.run_flaky ~rng ~pool ~oracle ~items ()).questions
-    else (TI.Loop.run_flaky ~rng ~pool ~oracle ~items ()).questions
+    if c.c_batch then (TI.Batch.Loop.run_flaky ~rng ~oracle ~items ()).questions
+    else (TI.Loop.run_flaky ~rng ~oracle ~items ()).questions
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
@@ -68,8 +63,6 @@ type result = {
   r_lgg_spans : span_line list;  (* twig.lgg / twig.lgg.inc aggregates *)
   r_lgg_calls : int;  (* batch refolds *)
   r_inc_calls : int;  (* incremental merges *)
-  r_char_hits : int;
-  r_char_misses : int;
   r_contain_hits : int;
   r_contain_misses : int;
 }
@@ -77,8 +70,7 @@ type result = {
 let counter_value name = T.Metrics.counter_value (T.Metrics.counter name)
 
 let measure workload c =
-  let pool = Core.Pool.create c.c_pool in
-  let run = workload c pool in
+  let run = workload c in
   (* Timed reps run in the default mode (flight ring only) — we are
      measuring the engine, not the instrumentation (BENCH_PR3's subject). *)
   T.set_mode T.Ring;
@@ -122,14 +114,11 @@ let measure workload c =
       r_lgg_spans = lgg_spans;
       r_lgg_calls = counter_value "learnq.twiglearn.lgg_calls";
       r_inc_calls = counter_value "learnq.twiglearn.lgg_inc_calls";
-      r_char_hits = counter_value "learnq.twiglearn.char_cache_hits";
-      r_char_misses = counter_value "learnq.twiglearn.char_cache_misses";
       r_contain_hits = counter_value "learnq.twig.contain_cache_hits";
       r_contain_misses = counter_value "learnq.twig.contain_cache_misses";
     }
   in
   T.reset ();
-  Core.Pool.shutdown pool;
   r
 
 (* ------------------------------------------------------------------ *)
@@ -145,19 +134,16 @@ let span_json s =
 
 let result_json ~baseline_s r =
   Printf.sprintf
-    {|    { "config": %S, "batch_lgg": %b, "pool": %d,
+    {|    { "config": %S, "batch_lgg": %b,
       "questions": %d, "median_s": %.6f, "speedup": %.2f,
       "lgg_refolds": %d, "lgg_incremental_merges": %d,
-      "char_cache": { "hits": %d, "misses": %d },
       "contain_cache": { "hits": %d, "misses": %d },
       "lgg_spans": [
 %s
       ] }|}
-    r.r_config.c_name r.r_config.c_batch r.r_config.c_pool r.r_questions
-    r.r_median_s
+    r.r_config.c_name r.r_config.c_batch r.r_questions r.r_median_s
     (if r.r_median_s > 0. then baseline_s /. r.r_median_s else 0.)
-    r.r_lgg_calls r.r_inc_calls r.r_char_hits r.r_char_misses r.r_contain_hits
-    r.r_contain_misses
+    r.r_lgg_calls r.r_inc_calls r.r_contain_hits r.r_contain_misses
     (String.concat ",\n" (List.map span_json r.r_lgg_spans))
 
 let run () =

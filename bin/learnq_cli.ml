@@ -70,29 +70,6 @@ let budget_term =
   Term.(const make $ timeout_arg $ fuel_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Shared parallelism flag                                             *)
-(* ------------------------------------------------------------------ *)
-
-let pool_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "pool" ] ~docv:"N"
-        ~doc:
-          "Domains for the determined-scan between questions: $(docv) lanes \
-           (1 = sequential, the default), 0 = the machine's recommended \
-           domain count.  The question sequence and journal bytes are \
-           identical at every size; only wall-clock changes.")
-
-let pool_term =
-  let setup = function
-    | None -> ()
-    | Some 0 -> Core.Pool.set_default_size (Core.Pool.recommended_size ())
-    | Some n -> Core.Pool.set_default_size n
-  in
-  Term.(const setup $ pool_arg)
-
-(* ------------------------------------------------------------------ *)
 (* Shared observability flags                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -712,7 +689,7 @@ let learn_twig_cmd =
     exit_degraded_if ~breaker_open:outcome.breaker_open
       ~degraded:outcome.degraded "the learned twig"
   in
-  let run () () files selects goal with_schema exact budget interactive seed
+  let run () files selects goal with_schema exact budget interactive seed
       journal sync resume checkpoint_every user =
     if interactive || journal <> None then
       run_interactive files goal seed journal sync resume checkpoint_every user
@@ -772,7 +749,7 @@ let learn_twig_cmd =
          "Learn a twig query from annotated nodes; with --exact, run the \
           budgeted exact search with graceful degradation; with \
           --interactive, run a journaled question-answer session.")
-    Term.(const run $ telemetry_term $ pool_term $ doc_files
+    Term.(const run $ telemetry_term $ doc_files
           $ selects $ goal $ with_schema
           $ exact $ budget_term $ interactive $ seed_term $ journal_arg
           $ journal_sync_arg $ resume_arg $ checkpoint_every_arg $ user_term)
@@ -931,7 +908,7 @@ let learn_join_cmd =
     exit_degraded_if ~breaker_open:outcome.breaker_open
       ~degraded:outcome.degraded "the predicate"
   in
-  let run () () seed strategy rows left right budget user journal sync resume
+  let run () seed strategy rows left right budget user journal sync resume
       checkpoint_every =
     let strategy_name =
       match strategy with
@@ -963,7 +940,7 @@ let learn_join_cmd =
           --left/--right (you answer the questions), or on a generated \
           instance with a simulated (possibly flaky) user, journaled and \
           resumable with --journal/--resume.")
-    Term.(const run $ telemetry_term $ pool_term $ seed_term $ strategy_arg
+    Term.(const run $ telemetry_term $ seed_term $ strategy_arg
           $ rows_arg $ left_arg $ right_arg $ budget_term $ user_term
           $ journal_arg $ journal_sync_arg $ resume_arg $ checkpoint_every_arg)
 
@@ -981,7 +958,7 @@ let learn_path_cmd =
       & opt string "highway highway*"
       & info [ "goal" ] ~docv:"REGEX" ~doc:"Hidden goal path query.")
   in
-  let run () () seed cities goal budget journal sync resume checkpoint_every
+  let run () seed cities goal budget journal sync resume checkpoint_every
       user =
     let config =
       Printf.sprintf "learn-path cities=%d goal=%s %s" cities goal user.faults
@@ -1021,7 +998,7 @@ let learn_path_cmd =
        ~doc:
          "Interactively learn a path query on a generated road network, \
           journaled and resumable with --journal/--resume.")
-    Term.(const run $ telemetry_term $ pool_term $ seed_term $ cities_arg
+    Term.(const run $ telemetry_term $ seed_term $ cities_arg
           $ goal_arg $ budget_term $ journal_arg $ journal_sync_arg
           $ resume_arg $ checkpoint_every_arg $ user_term)
 

@@ -26,8 +26,6 @@ let m_refused = Telemetry.Metrics.counter "learnq.interact.refused"
 let m_retried = Telemetry.Metrics.counter "learnq.interact.retried"
 let m_degraded = Telemetry.Metrics.counter "learnq.interact.degraded"
 let m_ask_s = Telemetry.Metrics.histogram "learnq.interact.ask_s"
-let m_parallel_scans = Telemetry.Metrics.counter "learnq.interact.parallel_scans"
-let m_scan_s = Telemetry.Metrics.histogram "learnq.interact.scan_s"
 
 let first_strategy _rng _st = function
   | [] -> invalid_arg "Interact.first_strategy: no informative item"
@@ -193,46 +191,21 @@ module Make (S : SESSION) = struct
   (* The determined-scan: split the pool into items whose label is already
      forced (uninformative — pruned without asking) and genuinely open ones.
      Determination checks dominate the session cost, so the budget is spent
-     here.
+     here, one tick per probe. *)
+  let scan budget state remaining =
+    Telemetry.with_span "interact.scan"
+      ~detail:("items=" ^ string_of_int (List.length remaining))
+    @@ fun () ->
+    List.partition
+      (fun it ->
+        Budget.tick budget;
+        S.determined state it = None)
+      remaining
 
-     With a pool of size > 1 the probes run on worker domains.  The whole
-     round's ticks are charged up front on the calling domain ([Budget] is
-     not shared across domains); a round that would have exhausted the
-     budget midway therefore trips it slightly earlier than the sequential
-     scan — both end the session at the same question, with the same
-     candidate.  Results land in input-order slots ({!Pool.map_array}), so
-     the rebuilt open list — hence the question sequence and the journal
-     bytes — is identical at every pool size. *)
-  let scan ?pool budget state remaining =
-    match pool with
-    | Some pool when Pool.size pool > 1 ->
-        let arr = Array.of_list remaining in
-        Budget.tick ~cost:(Array.length arr) budget;
-        let t0 = if Telemetry.enabled () then Monotonic.now () else 0. in
-        let is_open =
-          Pool.map_array pool (fun it -> S.determined state it = None) arr
-        in
-        if Telemetry.enabled () then begin
-          Telemetry.Metrics.incr m_parallel_scans;
-          Telemetry.Metrics.observe m_scan_s (Monotonic.now () -. t0)
-        end;
-        let opens = ref [] and closed = ref [] in
-        for i = Array.length arr - 1 downto 0 do
-          if is_open.(i) then opens := arr.(i) :: !opens
-          else closed := arr.(i) :: !closed
-        done;
-        (!opens, !closed)
-    | _ ->
-        List.partition
-          (fun it ->
-            Budget.tick budget;
-            S.determined state it = None)
-          remaining
-
-  let advance ?pool ?rng ?(strategy = first_strategy)
-      ?(stop = fun () -> false) ~budget t =
+  let advance ?rng ?(strategy = first_strategy) ?(stop = fun () -> false)
+      ~budget t =
     if t.current = None && not t.done_ then
-      match scan ?pool budget t.state t.pool with
+      match scan budget t.state t.pool with
       | exception Budget.Out_of_budget ->
           (* Terminal degradation: the candidate so far stands, and with no
              [Completed] record the journal stays resumable under a bigger
@@ -342,11 +315,10 @@ module Make (S : SESSION) = struct
 
   let run_flaky ?(rng = Prng.create 0) ?(strategy = first_strategy)
       ?(max_questions = max_int) ?budget ?journal ?resume ?checkpoint_every
-      ?snapshot ?retry ?pool ~oracle ~items () =
+      ?snapshot ?retry ~oracle ~items () =
     let budget =
       match budget with Some b -> b | None -> Budget.unlimited ()
     in
-    let pool = match pool with Some p -> p | None -> Pool.default () in
     let t = start ?journal ?resume ?checkpoint_every ?snapshot ~items () in
     if Telemetry.enabled () && t.replayed > 0 then
       Telemetry.Metrics.incr m_replayed ~by:t.replayed;
@@ -420,7 +392,7 @@ module Make (S : SESSION) = struct
        breaker), so the caller can degrade via its fallback ladder. *)
     let stop () = t.questions >= max_questions || breaker_is_open () in
     let rec loop () =
-      advance ~pool ~rng ~strategy ~stop ~budget t;
+      advance ~rng ~strategy ~stop ~budget t;
       match t.current with
       | None ->
           (* Finished, or stopped: by the cap (not degraded) or by the
@@ -443,9 +415,9 @@ module Make (S : SESSION) = struct
       loop
 
   let run ?rng ?strategy ?max_questions ?budget ?journal ?resume
-      ?checkpoint_every ?snapshot ?pool ~oracle ~items () =
+      ?checkpoint_every ?snapshot ~oracle ~items () =
     run_flaky ?rng ?strategy ?max_questions ?budget ?journal ?resume
-      ?checkpoint_every ?snapshot ?pool
+      ?checkpoint_every ?snapshot
       ~oracle:(fun it -> Flaky.Label (oracle it))
       ~items ()
 

@@ -16,7 +16,8 @@
 
     {!Make.t} is the protocol as an answer-at-a-time state machine: the
     learner state, the unasked pool, and at most one open question.
-    {!Make.advance} prunes the items that became determined and poses the
+    {!Make.advance} prunes the items that became determined, in one
+    sequential scan per question (the [interact.scan] span), and poses the
     next question; {!Make.answer} folds the user's reply in.  Two callers
     feed it answers.  {!Make.run_flaky} (the CLI, the experiments) calls an
     oracle closure in a loop; [Server.Stepper] waits for a remote client's
@@ -112,7 +113,6 @@ module Make (S : SESSION) : sig
       state encoder) runs {!take_checkpoint} every N labeled answers. *)
 
   val advance :
-    ?pool:Pool.t ->
     ?rng:Prng.t ->
     ?strategy:(S.state, S.item) strategy ->
     ?stop:(unit -> bool) ->
@@ -130,10 +130,8 @@ module Make (S : SESSION) : sig
       record the question rolls back whole and {!Journal.Io} propagates; a
       later call re-derives the same question.
 
-      [pool] runs the scan's probes on worker domains with a deterministic,
-      input-order merge: the question sequence and journal bytes are
-      identical at every pool size.  The round's ticks are then charged up
-      front. *)
+      Each scan runs in an [interact.scan] span whose detail counts the
+      items probed ([items=N]), on the calling domain. *)
 
   val answer : t -> Flaky.reply -> unit
   (** Journals the reply to the open question and folds a label into the
@@ -192,7 +190,6 @@ module Make (S : SESSION) : sig
     ?resume:resume ->
     ?checkpoint_every:int ->
     ?snapshot:(S.state -> string) ->
-    ?pool:Pool.t ->
     oracle:(S.item -> bool) ->
     items:S.item list ->
     unit ->
@@ -209,7 +206,6 @@ module Make (S : SESSION) : sig
     ?checkpoint_every:int ->
     ?snapshot:(S.state -> string) ->
     ?retry:Retry.policy ->
-    ?pool:Pool.t ->
     oracle:(S.item -> Flaky.reply) ->
     items:S.item list ->
     unit ->
@@ -218,8 +214,7 @@ module Make (S : SESSION) : sig
       against an unreliable user ({!Flaky}): the open question goes to
       [oracle] until no informative item remains or [max_questions] live
       labels have been taken.  [journal], [resume], [checkpoint_every] and
-      [snapshot] are as in {!start}; [pool] (default {!Pool.default}) and
-      [strategy] as in {!advance}.  Replays count in [replayed], not
+      [snapshot] are as in {!start}; [strategy] as in {!advance}.  Replays count in [replayed], not
       [questions], and the [asked] transcript covers the events since the
       last checkpoint.
 

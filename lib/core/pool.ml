@@ -158,40 +158,4 @@ let map_array_chunked t ~chunk f xs =
     Array.map (function Some y -> y | None -> assert false) results
   end
 
-(* ------------------------------------------------------------------ *)
-(* Default pool                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let default_size_ref = ref 1
-let default_pool : t option ref = ref None
-let at_exit_registered = ref false
-
-let teardown_default () =
-  match !default_pool with
-  | Some p ->
-      default_pool := None;
-      shutdown p
-  | None -> ()
-
-let set_default_size n =
-  let n = max 1 n in
-  if n <> !default_size_ref then begin
-    teardown_default ();
-    default_size_ref := n
-  end
-
-let default_size () = !default_size_ref
-
-let default () =
-  match !default_pool with
-  | Some p -> p
-  | None ->
-      let p = create !default_size_ref in
-      default_pool := Some p;
-      if not !at_exit_registered then begin
-        at_exit_registered := true;
-        at_exit teardown_default
-      end;
-      p
-
 let recommended_size () = Domain.recommended_domain_count ()

@@ -1,31 +1,24 @@
-(** A small pool of OCaml 5 domains for data-parallel scans.
+(** A small pool of OCaml 5 domains for data-parallel work.
 
-    The interactive learners spend most of their time in embarrassingly
-    parallel per-item work: the determined-scan over the open pool
-    ({!Interact.Make.advance}) and version-space mask tests.  This pool
-    keeps [size - 1] worker domains alive across calls (domain spawn costs
-    tens of microseconds, far too much to pay once per question) and splits
-    each {!map_array} into index chunks claimed from a shared counter.
-
-    The CLI's batch loop passes {!default} to that scan (two lanes
-    halve a learn-twig session on an XMark scale-3 document); the server,
-    which already runs whole sessions on pool lanes, scans without one.
+    The pool keeps [size - 1] worker domains alive across calls (domain
+    spawn costs tens of microseconds, far too much to pay per task) and
+    splits each {!map_array} into index chunks claimed from a shared
+    counter.  Its users: the daemon's dispatcher, which runs a batch of
+    session jobs on the pool's lanes ([serve --pool]); registry recovery
+    at daemon boot; the sharded corpora of [Xmlstore.Corpus]; and the fuzz
+    runner's [--jobs].  Interactive sessions scan their items on the
+    calling domain.
 
     {2 Determinism}
 
     {!map_array} writes result [i] into slot [i] of a pre-sized array: the
     output order is the input order regardless of which domain computed
-    which chunk or in what interleaving.  A session driven through the pool
-    therefore asks the same questions, in the same order, and writes
-    byte-identical journals at every pool size — property-tested in
-    [test_twiglearn.ml].
+    which chunk or in what interleaving.
 
     {2 Sequential fallback}
 
     A pool of size [<= 1] spawns no domains and {!map_array} degenerates to
     [Array.map] on the calling domain — identical semantics, zero threading.
-    The default pool is sequential until {!set_default_size} is called (the
-    CLI's [--pool N]); unit tests run sequentially unless they opt in.
 
     {2 What worker domains may do}
 
@@ -63,21 +56,6 @@ val shutdown : t -> unit
 (** Stops and joins the worker domains; idempotent.  Further use of the
     pool is a programming error ([Invalid_argument]). *)
 
-(** {1 The process-default pool}
-
-    One shared pool for code (like {!Interact.Make.run_flaky}) that should
-    not thread a pool parameter through every caller.  Starts sequential. *)
-
-val set_default_size : int -> unit
-(** Resize the default pool (clamped to [>= 1]).  Tears down the old
-    worker domains, if any; the next {!default} call rebuilds lazily.
-    Workers are also torn down [at_exit]. *)
-
-val default_size : unit -> int
-
-val default : unit -> t
-(** The default pool, built on first use at the configured size. *)
-
 val recommended_size : unit -> int
-(** [Domain.recommended_domain_count ()], for [--pool 0 = auto] CLI
-    conventions. *)
+(** [Domain.recommended_domain_count ()], for the CLI's [fuzz --jobs 0]
+    (one lane per core). *)

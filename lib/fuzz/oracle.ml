@@ -269,9 +269,32 @@ let check_lgg_incremental (t, paths) =
           (match batch with Some q -> Query.to_string q | None -> "⊥")
           (match inc with Some q -> Query.to_string q | None -> "⊥")
   in
+  (* [extend_consistent] closes most items on the spines alone, an
+     argument that holds one way only.  At every accumulator of the walk,
+     each element it closes must be closed by the full merge too, and each
+     it keeps open must stay open. *)
+  let elements =
+    List.map (Xmltree.Annotated.make t)
+      (live_element_paths t (Tree.all_paths t))
+  in
+  let closures_agree acc =
+    check_all
+      (fun (it : Xmltree.Annotated.t) ->
+        match (I.extend_consistent acc it, I.candidate (I.add acc it)) with
+        | None, Some c ->
+            failf "extend_consistent closes %s, but the full merge keeps %s"
+              (pstr Tree.pp_path it.target) (Query.to_string c)
+        | Some e, None ->
+            failf "extend_consistent keeps %s open (%s), but the full merge \
+                   closes it"
+              (pstr Tree.pp_path it.target) (Query.to_string e)
+        | _ -> Ok ())
+      elements
+  in
   let rec steps acc = function
-    | [] -> Ok ()
+    | [] -> closures_agree acc
     | item :: rest -> (
+        let* () = closures_agree acc in
         let ext = I.extend_consistent acc item in
         let next = I.add acc item in
         let cand = I.candidate next in
@@ -293,7 +316,9 @@ let check_lgg_incremental (t, paths) =
 let lgg_incremental =
   Spec
     { name = "lgg-incremental";
-      about = "incremental LGG ≡ batch learn_positive on arbitrary corpora";
+      about =
+        "incremental LGG ≡ batch learn_positive on arbitrary corpora; the \
+         spine precheck closes only what the full merge closes";
       generate =
         (fun g ~size ->
           let t = Gen.tree g ~size:(max 2 size) in
@@ -384,45 +409,6 @@ let with_temp_file prefix suffix f =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
-
-let run_pooled ~pool_size ~doc ~goal =
-  let pool = Core.Pool.create pool_size in
-  Fun.protect
-    ~finally:(fun () -> Core.Pool.shutdown pool)
-    (fun () ->
-      with_temp_file "learnq-fuzz-pool" ".journal" (fun path ->
-          let j =
-            Core.Journal.create ~sync:Core.Journal.Off ~path
-              { Core.Journal.seed = 0; engine = "fuzz"; config = "pool" }
-          in
-          let out =
-            Fun.protect
-              ~finally:(fun () -> Core.Journal.close j)
-              (fun () ->
-                TI.Loop.run ~rng:(Prng.create 17) ~pool
-                  ~journal:(j, TI.encode_item)
-                  ~oracle:(fun it -> Twig.Eval.selects_example goal it)
-                  ~items:(TI.items_of_doc doc) ())
-          in
-          (transcript out.asked, out.query, read_file path)))
-
-let check_interact_pool (doc, goal) =
-  let t1, q1, j1 = run_pooled ~pool_size:1 ~doc ~goal in
-  check_all
-    (fun n ->
-      let tn, qn, jn = run_pooled ~pool_size:n ~doc ~goal in
-      let tag = Printf.sprintf "pool 1 vs %d" n in
-      let* () = transcripts_differ tag t1 tn in
-      let* () = queries_equal tag q1 qn in
-      if j1 = jn then Ok ()
-      else failf "%s: journal bytes differ (%d vs %d bytes)" tag
-          (String.length j1) (String.length jn))
-    [ 2; 4 ]
-
-let interact_pool =
-  doc_goal_spec ~name:"interact-pool"
-    ~about:"pool sizes 1/2/4 ask byte-identical question sequences and journals"
-    check_interact_pool
 
 let check_journal_resume (doc, goal, permille) =
   let items = TI.items_of_doc doc in
@@ -1597,7 +1583,6 @@ let all =
     contain_vs_eval;
     lgg_incremental;
     interact_batch;
-    interact_pool;
     journal_resume;
     rpq_naive;
     roundtrip_twig;

@@ -95,11 +95,9 @@ let split_strategy ?(sample = 48) () rng (st : Session.state) items =
   in
   if candidates = [] then invalid_arg "split_strategy: no informative item";
   (* Score every candidate once (the old fold recomputed [score best] at
-     each comparison), through the domain pool: each score is an independent
-     O(|items|) mask scan, and the argmax below is a sequential
-     left-to-right fold over input-order results, so the chosen item — and
-     hence the question sequence — is identical at every pool size. *)
-  let scores = Core.Pool.map_list (Core.Pool.default ()) score candidates in
+     each comparison); the argmax below is a left-to-right fold, so ties go
+     to the earliest candidate. *)
+  let scores = List.map score candidates in
   match List.combine candidates scores with
   | [] -> assert false
   | (first, s0) :: rest ->

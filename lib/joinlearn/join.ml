@@ -41,7 +41,7 @@ module Version_space = struct
      measurable fraction of it.  Shadow-count with a plain int (sub-ns) and
      flush into the real counter at the per-question [record] boundary.
 
-     Under a {!Core.Pool} scan, worker domains increment this plain ref
+     Join sessions on two [serve] pool domains increment this plain ref
      concurrently: increments can be lost, never torn (immediate ints are
      atomic in the OCaml 5 memory model).  The counter is observability
      only — an undercount is acceptable, a mutex here is not. *)

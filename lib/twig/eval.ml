@@ -37,9 +37,6 @@ let index tree =
   assert (root = 0);
   { tree; labels; children; last_desc; paths; by_path; store = None }
 
-let doc_tree d = d.tree
-let doc_size d = Array.length d.labels
-
 (* Compiled filters: each filter node gets a dense id so embeddings can be
    memoized in a flat matrix. *)
 type compiled_filter = { ctest : Query.test; csubs : (Query.axis * int) list }
@@ -262,13 +259,13 @@ type probe_cache = {
          would thrash; a handful keeps the candidate resident. *)
 }
 
-(* Enough slots that a round's worth of live raw-extension queries (kept
-   physically identical across rounds by the session probe memo) stays
-   resident alongside the candidate; a mask is one bool per node, so even
-   64 of them are a few hundred KB per domain. *)
+(* Enough slots that the candidate stays resident while a round's raw
+   extensions (one per probe that reaches the negatives) pass through; a
+   mask is one bool per node, so even 64 of them are a few hundred KB per
+   domain. *)
 let probe_cache_slots = 64
 
-let probe_dls : probe_cache Domain.DLS.key =
+let cache_dls : probe_cache Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { pc_tree = None; pc_doc = None; pc_masks = [] })
 
@@ -295,7 +292,7 @@ let rec list_take n = function
   | _ -> []
 
 let selects q tree path =
-  let c = Domain.DLS.get probe_dls in
+  let c = Domain.DLS.get cache_dls in
   let doc = index_cached c tree in
   let mask =
     match mask_assq q c.pc_masks with

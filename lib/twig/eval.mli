@@ -16,8 +16,6 @@ type doc
 (** A document indexed for repeated query evaluation. *)
 
 val index : Xmltree.Tree.t -> doc
-val doc_tree : doc -> Xmltree.Tree.t
-val doc_size : doc -> int
 
 val select_doc : doc -> Query.t -> Xmltree.Tree.path list
 (** Selected nodes in document (preorder) order. *)
@@ -34,9 +32,6 @@ val select : Query.t -> Xmltree.Tree.t -> Xmltree.Tree.path list
 
 val to_pattern : Query.t -> Xmlstore.Pattern.t
 (** Lower a query to the store pattern shape. *)
-
-val store_of_doc : doc -> Xmlstore.Store.t
-(** The labeled store of an indexed document, built on first use. *)
 
 val select_walk : Query.t -> Xmltree.Tree.t -> Xmltree.Tree.path list
 (** The tree-walk evaluator — the reference implementation differential

@@ -9,8 +9,6 @@ let merge_axis a1 a2 = match (a1, a2) with Child, Child -> Child | _ -> Descenda
    on is the production configuration. *)
 type mode = { label_guided : bool; rescue : bool }
 
-let default_mode = { label_guided = true; rescue = true }
-
 let rec lgg_filter_mode mode f1 f2 =
   {
     ftest = merge_test f1.ftest f2.ftest;
@@ -141,11 +139,6 @@ and merge_edges ~mode ~max_filters e1s e2s =
         invariant_tests
   in
   prune_maximal ~max_filters (merged @ rescued)
-
-let lgg_filter f1 f2 = lgg_filter_mode default_mode f1 f2
-
-let merge_filters ~max_filters e1s e2s =
-  merge_edges ~mode:default_mode ~max_filters e1s e2s
 
 (* ------------------------------------------------------------------ *)
 (* Spine alignment                                                     *)

@@ -42,14 +42,3 @@ val minimize : Query.t -> Query.t
 (** Removes filters implied by a sibling filter (via
     {!Contain.filter_subsumed}) and deduplicates, at every node.  The result
     is equivalent to the input. *)
-
-val merge_filters :
-  max_filters:int ->
-  (Query.axis * Query.filter) list ->
-  (Query.axis * Query.filter) list ->
-  (Query.axis * Query.filter) list
-(** The filter-set product used at aligned spine nodes (exposed for tests):
-    all pairwise filter LGGs, pruned to maximal elements. *)
-
-val lgg_filter : Query.filter -> Query.filter -> Query.filter
-(** LGG of two filter trees (root aligned to root). *)

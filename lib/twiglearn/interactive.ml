@@ -1,11 +1,5 @@
 type item = Xmltree.Annotated.t
 
-(* Fault-injection switch for the fuzzing harness: [false] skips the probe
-   memo's recheck of negatives recorded after an entry was cached, i.e. the
-   exact staleness bug the memo's survived-count bookkeeping prevents. *)
-let probe_recheck = ref true
-let set_probe_recheck b = probe_recheck := b
-
 module Session = struct
   type query = Twig.Query.t
   type nonrec item = item
@@ -13,19 +7,12 @@ module Session = struct
   type state = {
     pos : item list;
     neg : item list;
-    neg_count : int;  (** [List.length neg], for the probe memo *)
     acc : Positive.Incremental.acc;  (** running raw LGG of [pos] *)
     lgg : Twig.Query.t option;  (** minimized anchored candidate *)
   }
 
   let init _items =
-    {
-      pos = [];
-      neg = [];
-      neg_count = 0;
-      acc = Positive.Incremental.empty;
-      lgg = None;
-    }
+    { pos = []; neg = []; acc = Positive.Incremental.empty; lgg = None }
 
   let record st item label =
     if label then
@@ -33,108 +20,25 @@ module Session = struct
       let acc = Positive.Incremental.add st.acc item in
       let lgg = Positive.Incremental.candidate acc in
       { st with pos = item :: st.pos; acc; lgg }
-    else { st with neg = item :: st.neg; neg_count = st.neg_count + 1 }
+    else { st with neg = item :: st.neg }
 
   let candidate st = st.lgg
 
-  (* The probe memo.  [determined] revisits every open item once per round,
-     but its inputs move slowly: the accumulator changes only on a positive
-     answer (a handful per session) and the negative set only grows.  So
-     each domain remembers, per item, the item's would-be generalization
-     and how many negatives it has survived — a probe then merges nothing
-     and rechecks only the negatives recorded since.  [Closed] is sound to
-     cache because inconsistency is monotone at a fixed accumulator: more
-     negatives never reopen an item.  The memo is invalidated wholesale
-     when the accumulator's physical identity moves, and is domain-local
-     ({!Core.Pool} workers warm their own), so verdicts — hence question
-     sequences — are unchanged at every pool size.
-
-     Sessions on one document share the memo: the characteristic memo
-     hands them physically equal accumulators for equal positives.  The
-     extension is pure in (accumulator, item), so [Leaves] and the raw
-     query are shared.  A verdict counts one session's negatives, so it is
-     tagged with that session's [pos] list — a fresh cons cell per session
-     once it has a positive — and another session re-derives it. *)
-  type verdict =
-    | Closed  (** a negative of the owning session is selected *)
-    | Survived of int  (** negatives of the owning session checked *)
-
-  type probe_entry =
-    | Leaves  (** the extension leaves the anchored fragment *)
-    | Extends of Twig.Query.t * item list * verdict
-        (** raw extension; the owning session's [pos] (phys-eq) *)
-
-  type probe_memo = {
-    mutable pm_acc : Twig.Query.t option;  (* phys-eq key *)
-    pm_tbl : (Xmltree.Tree.path, probe_entry) Hashtbl.t;
-  }
-
-  let probe_dls : probe_memo Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { pm_acc = None; pm_tbl = Hashtbl.create 512 })
-
-  let selects_any_prefix raw negs ~count =
-    let rec go i = function
-      | n :: rest when i < count ->
-          Twig.Eval.selects_example raw n || go (i + 1) rest
-      | _ -> false
-    in
-    go 0 negs
-
-  let determined_incremental st item =
-    match Positive.Incremental.raw st.acc with
-    | None -> None  (* no positives yet: everything is informative *)
-    | Some acc_raw -> (
-        let memo = Domain.DLS.get probe_dls in
-        (if match memo.pm_acc with Some a -> a != acc_raw | None -> true
-         then begin
-           memo.pm_acc <- Some acc_raw;
-           Hashtbl.reset memo.pm_tbl
-         end);
-        let target = (item : item).target in
-        let cached = Hashtbl.find_opt memo.pm_tbl target in
-        match cached with
-        | Some Leaves -> Some false
-        | Some (Extends (_, owner, Closed)) when owner == st.pos -> Some false
-        | _ -> (
-            let raw_opt, survived =
-              match cached with
-              | Some (Extends (raw, owner, Survived k)) when owner == st.pos ->
-                  (Some raw, k)
-              | Some (Extends (raw, _, _)) -> (Some raw, 0)
-              | _ -> (Positive.Incremental.extend_consistent st.acc item, 0)
-            in
-            match raw_opt with
-            | None ->
-                (* Generalizing onto this item leaves the anchored fragment:
-                   final for this accumulator, whichever session probes. *)
-                Hashtbl.replace memo.pm_tbl target Leaves;
-                Some false
-            | Some raw ->
-                (* [st.neg] is newest-first: the first [neg_count - survived]
-                   entries are the ones this item has not been checked
-                   against yet. *)
-                let recheck_count =
-                  if !probe_recheck then st.neg_count - survived
-                  else if survived = 0 then st.neg_count
-                  else 0
-                in
-                let closed =
-                  selects_any_prefix raw st.neg ~count:recheck_count
-                in
-                Hashtbl.replace memo.pm_tbl target
-                  (Extends
-                     ( raw,
-                       st.pos,
-                       if closed then Closed else Survived st.neg_count ));
-                if closed then Some false else None))
-
+  (* Would taking [item] positive leave the anchored fragment or select a
+     recorded negative?  [extend_consistent] settles most items on the two
+     spines, without merging a filter. *)
   let determined st item =
     match st.lgg with
-    | None -> None
-    | Some q ->
+    | None -> None  (* no candidate yet: everything is informative *)
+    | Some q -> (
         if Twig.Eval.selects_example q item then Some true
-        else determined_incremental st item
+        else
+          match Positive.Incremental.extend_consistent st.acc item with
+          | None -> Some false
+          | Some raw ->
+              if List.exists (Twig.Eval.selects_example raw) st.neg then
+                Some false
+              else None)
 
   let pp_item = Xmltree.Annotated.pp
   let pp_query = Twig.Query.pp
@@ -144,7 +48,7 @@ module Loop = Core.Interact.Make (Session)
 
 (* The reference session: refold the whole positive set through
    [Positive.learn_positive] on every answer and every probe — the
-   pre-incremental path, with no probe memo.  [st.pos] is newest-first and
+   pre-incremental path, with no spine precheck.  [st.pos] is newest-first and
    the fold runs in arrival order, as the accumulator does: [Lgg.lgg] is a
    heuristic alignment, not associative, so folding newest-first could
    learn a differently-selecting candidate and ask other questions. *)

@@ -13,31 +13,26 @@
       known negative — or out of the anchored fragment altogether — must be
       negative.
 
-    Those nodes are uninformative and are never asked. *)
+    Those nodes are uninformative and are never asked.  The second test
+    is usually settled on the spines alone, without merging a filter
+    ({!Positive.Incremental.extend_consistent}). *)
 
 type item = Xmltree.Annotated.t
 
-val set_probe_recheck : bool -> unit
-(** Fault-injection switch (default [true]).  [false] disables the probe
-    memo's negative-prefix recheck: a memoized open item is then never
-    re-tested against negatives recorded since it was cached, silently
-    reviving the staleness bug the memo's bookkeeping exists to prevent.
-    Only for exercising the differential fuzzing harness ({!Fuzz.Oracle}
-    [interact-batch] catches it within a few hundred cases) — never unset
-    this in production code paths. *)
-
 module Session :
   Core.Interact.SESSION with type query = Twig.Query.t and type item = item
-(** The session: an incremental LGG accumulator ({!Positive.Incremental})
-    and a per-domain probe memo shared by the sessions of one document. *)
+(** The session: an incremental LGG accumulator ({!Positive.Incremental}).
+    A probe reads only the session's own state, so sessions on one
+    document never see each other's labels. *)
 
 module Loop : module type of Core.Interact.Make (Session)
 
 (** The reference session: every answer and every determined-probe
     refolds the whole positive set through {!Positive.learn_positive}, with
-    no probe memo — the pre-incremental path.  It asks the same questions
-    as {!Session} (the [interact-batch] fuzz oracle); [bench pr4] times
-    {!Loop} against it. *)
+    no spine precheck — the pre-incremental path.  It asks the same
+    questions as {!Session}: the [interact-batch] fuzz oracle checks that,
+    and with it the precheck, end to end.  [bench pr4] times {!Loop}
+    against it. *)
 module Batch : sig
   module Session :
     Core.Interact.SESSION with type query = Twig.Query.t and type item = item

@@ -9,51 +9,7 @@ module Concept = struct
   let pp_instance = Xmltree.Annotated.pp
 end
 
-(* ------------------------------------------------------------------ *)
-(* Characteristic queries, memoized                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* [determined] probes recompute the characteristic of the same pool items
-   once per round, and the items of a session all come from one document —
-   so the memo is (document, path ↦ query), keyed per domain (pool workers
-   each warm their own copy) and reset whenever a different document shows
-   up.  Physical equality on the document is the session-identity test:
-   items built by [Interactive.items_of_doc] share their document node. *)
-
-let m_char_hits =
-  Core.Telemetry.Metrics.counter "learnq.twiglearn.char_cache_hits"
-
-let m_char_misses =
-  Core.Telemetry.Metrics.counter "learnq.twiglearn.char_cache_misses"
-
-type char_memo = {
-  mutable cm_doc : Xmltree.Tree.t option;
-  cm_tbl : (Xmltree.Tree.path, Twig.Query.t) Hashtbl.t;
-}
-
-let char_memo_capacity = 1 lsl 16
-
-let char_dls : char_memo Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { cm_doc = None; cm_tbl = Hashtbl.create 512 })
-
-let characteristic (a : instance) =
-  let memo = Domain.DLS.get char_dls in
-  let same_doc = match memo.cm_doc with Some d -> d == a.doc | None -> false in
-  if not same_doc then begin
-    memo.cm_doc <- Some a.doc;
-    Hashtbl.reset memo.cm_tbl
-  end;
-  match if same_doc then Hashtbl.find_opt memo.cm_tbl a.target else None with
-  | Some q ->
-      Core.Telemetry.Metrics.incr m_char_hits;
-      q
-  | None ->
-      Core.Telemetry.Metrics.incr m_char_misses;
-      let q = Twig.Query.of_example a.doc a.target in
-      if Hashtbl.length memo.cm_tbl >= char_memo_capacity then
-        Hashtbl.reset memo.cm_tbl;
-      Hashtbl.add memo.cm_tbl a.target q;
-      q
+let characteristic (a : instance) = Twig.Query.of_example a.doc a.target
 
 (* ------------------------------------------------------------------ *)
 (* Batch learning                                                      *)
@@ -91,12 +47,14 @@ module Incremental = struct
   type acc = Twig.Query.t option
 
   let empty : acc = None
-  let raw : acc -> Twig.Query.t option = Fun.id
 
   let m_inc = Core.Telemetry.Metrics.counter "learnq.twiglearn.lgg_inc_calls"
 
-  (* Counter only, no span: [add] runs once per determined-probe via
-     [extend_consistent] — the same too-hot-for-spans regime as
+  let m_spine_closed =
+    Core.Telemetry.Metrics.counter "learnq.twiglearn.spine_closed"
+
+  (* Counter only, no span: [add] runs once per determined-probe that the
+     spine leaves open — the same too-hot-for-spans regime as
      [Contain.filter_subsumed].  [Interactive.Session.record] wraps its
      (once-per-answer) call in the [twig.lgg.inc] span. *)
   let add (acc : acc) item : acc =
@@ -110,7 +68,32 @@ module Incremental = struct
         let q = Twig.Lgg.minimize raw in
         if Twig.Query.is_anchored q then Some q else None
 
-  (* Anchoredness commutes with minimization here: characteristic queries
+  (* The item's characteristic query without its filters: the root-to-node
+     labels on child edges, read straight off the path. *)
+  let spine (a : instance) =
+    let step (n : Xmltree.Tree.t) =
+      { Twig.Query.axis = Child; test = Label n.label; filters = [] }
+    in
+    let rec go (n : Xmltree.Tree.t) = function
+      | [] -> [ step n ]
+      | i :: rest -> step n :: go (List.nth n.children i) rest
+    in
+    go a.doc a.target
+
+  (* Fault injection for the fuzzing harness; see the mli. *)
+  let full_merge = ref true
+  let set_full_merge b = full_merge := b
+
+  (* The spine precheck.  [Lgg.lgg] picks its alignment from step tests and
+     axes alone, and [Query.anchor]'s spine walk reads only those too, so
+     merging the stripped accumulator with the item's spine yields exactly
+     the spine of the full merge.  [is_anchored q] implies
+     [is_anchored (strip_filters q)], so a spine that fails the test closes
+     the item without reading a filter.  The converse fails —
+     [anchor_filter_edges] can leave a promoted wildcard filter unanchored —
+     so a passing spine still takes the full merge.
+
+     Anchoredness commutes with minimization here: characteristic queries
      are label-and-child only, and every [Lgg.lgg] result has passed
      [Query.anchor], so the only anchoredness question left is the output
      test — which minimization (filter pruning) never touches.  Selection
@@ -118,7 +101,16 @@ module Incremental = struct
      so determined-probes can use the raw query and skip the minimize that
      used to dominate them. *)
   let extend_consistent (acc : acc) item =
-    match add acc item with
-    | Some raw when Twig.Query.is_anchored raw -> Some raw
-    | _ -> None
+    match acc with
+    | Some raw
+      when not
+             (Twig.Query.is_anchored
+                (Twig.Lgg.lgg (Twig.Query.strip_filters raw) (spine item))) ->
+        Core.Telemetry.Metrics.incr m_spine_closed;
+        None
+    | Some raw when not !full_merge -> Some raw
+    | _ -> (
+        match add acc item with
+        | Some raw when Twig.Query.is_anchored raw -> Some raw
+        | _ -> None)
 end

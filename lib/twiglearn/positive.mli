@@ -13,13 +13,6 @@
 
 type instance = Xmltree.Annotated.t
 
-val characteristic : instance -> Twig.Query.t
-(** The characteristic query of an annotated node ({!Twig.Query.of_example}),
-    memoized per document in a bounded per-domain table: determined-probes
-    revisit the same pool items every round, and all of a session's items
-    share one document (recognized by physical equality).  Cache traffic is
-    counted by [learnq.twiglearn.char_cache_hits]/[_misses]. *)
-
 val learn_positive : instance list -> Twig.Query.t option
 (** [None] on the empty list or when the generalization leaves the anchored
     fragment (e.g. examples whose annotated nodes have different labels). *)
@@ -36,7 +29,9 @@ val learn_path : instance list -> Twig.Query.t option
     into one merge {e without} minimization.  This is what collapsed the
     [twig.lgg] span from 62% of interactive learn-twig wall time (PR 3
     profile) — see BENCH_PR4.json.  Equivalence with the batch learner on
-    the same example order is property-tested in [test_twiglearn.ml]. *)
+    the same example order is property-tested in [test_twiglearn.ml].
+    Nothing is memoized between calls: a probe that the spine precheck of
+    {!extend_consistent} settles costs one merge of two label paths. *)
 module Incremental : sig
   type acc
   (** The raw (unminimized) LGG of the examples added so far, in arrival
@@ -44,13 +39,9 @@ module Incremental : sig
 
   val empty : acc
 
-  val raw : acc -> Twig.Query.t option
-  (** The accumulator's unminimized query — [None] before any example.
-      Stable in physical identity between additions, which is what the
-      session probe memo keys its invalidation on. *)
-
   val add : acc -> instance -> acc
-  (** One {!Twig.Lgg.lgg} merge with the item's (memoized) characteristic. *)
+  (** One {!Twig.Lgg.lgg} merge with the item's characteristic query
+      ({!Twig.Query.of_example}). *)
 
   val candidate : acc -> Twig.Query.t option
   (** Minimize and anchor-check: [candidate (add ... (add empty x1) ... xn)]
@@ -62,7 +53,25 @@ module Incremental : sig
       the anchored fragment.  Selection-equivalent to
       [candidate (add acc item)] (minimization only drops implied filters;
       anchoredness is settled before minimization), skipping the minimize
-      that dominated determined-probes. *)
+      that dominated determined-probes.
+
+      Most items are settled on the spines alone: the merge of the
+      accumulator's spine with the item's root-to-node label path is the
+      spine of the full merge, and when it is not anchored neither is the
+      full merge, so the item is closed without merging a filter
+      ([learnq.twiglearn.spine_closed] counts these).  A spine that passes
+      proves nothing about the filters, so only then does the full merge
+      run.  The [lgg-incremental] fuzz oracle checks the one-way argument
+      against [candidate (add acc item)] for every node of its documents. *)
+
+  val set_full_merge : bool -> unit
+  (** Fault-injection switch (default [true]).  [false] lets the spine
+      precheck decide both ways: an item whose spine passes extends to the
+      accumulator's own query, with no full merge, so a session whose
+      negatives that query rejects takes the item as open.  Only for
+      exercising the differential fuzzing harness ({!Fuzz.Oracle}
+      [interact-batch] catches it within a few dozen cases) — never unset
+      this in production code paths. *)
 end
 
 (** The twig concept (plugs into {!Core.Concept} functors). *)

@@ -696,20 +696,6 @@ let test_pool_chunked_exception_propagates () =
         (Array.map succ xs)
         (Core.Pool.map_array_chunked pool ~chunk:7 succ xs))
 
-let test_pool_default_resize () =
-  let before = Core.Pool.default_size () in
-  Fun.protect
-    ~finally:(fun () -> Core.Pool.set_default_size before)
-    (fun () ->
-      Core.Pool.set_default_size 3;
-      check Alcotest.int "resized" 3 (Core.Pool.default_size ());
-      check Alcotest.int "default pool has the size" 3
-        (Core.Pool.size (Core.Pool.default ()));
-      Core.Pool.set_default_size 0;
-      check Alcotest.int "clamped to 1" 1 (Core.Pool.default_size ());
-      Alcotest.(check bool) "recommended size positive" true
-        (Core.Pool.recommended_size () >= 1))
-
 let () =
   Alcotest.run "core"
     [
@@ -802,7 +788,6 @@ let () =
             test_pool_chunked_deterministic;
           Alcotest.test_case "chunked exception propagates" `Quick
             test_pool_chunked_exception_propagates;
-          Alcotest.test_case "default resize" `Quick test_pool_default_resize;
         ] );
       ( "stats",
         [

@@ -1,8 +1,9 @@
 (* The fuzzing harness tested on itself: generator determinism, greedy
    shrinking, artifact round-trips, and — the acceptance demonstration — a
-   deliberately injected engine bug (disabling the probe memo's
-   negative-prefix recheck) being caught by the [interact-batch] oracle and
-   minimized to a counterexample of at most five document nodes. *)
+   deliberately injected engine bug (letting the twig probe's spine
+   precheck open items it cannot prove open) being caught by the
+   [interact-batch] oracle and minimized to a counterexample of at most
+   five document nodes. *)
 
 let find name =
   match Fuzz.Oracle.find name with
@@ -55,7 +56,6 @@ let case_stream_digests =
     ("contain-vs-eval", "9125edeebd3a3448dec7e54bd5700892");
     ("lgg-incremental", "f66406951ff55fd0ef4fbcb67c5c9529");
     ("interact-batch", "d84823d110513d9dc699481866db6915");
-    ("interact-pool", "d84823d110513d9dc699481866db6915");
     ("journal-resume", "64aa7bca11c27e821c99b3697a4cafcf");
     ("rpq-naive", "8840bd4516922e868b9c65efa300b777");
     ("roundtrip-twig", "605c9f385692ca45672b650a4178dff5");
@@ -207,17 +207,19 @@ let test_runner_jobs_deterministic () =
 (* Acceptance demo: an injected engine bug is caught and minimized      *)
 (* ------------------------------------------------------------------ *)
 
-(* Disable the probe memo's recheck of negatives recorded since an entry
-   was cached (the staleness protection the memo's survived-count exists
-   for).  The [interact-batch] differential oracle — batch-refold sessions
-   versus incremental sessions must ask byte-identical question sequences —
-   catches the fault within a few dozen cases, and the counterexample
-   minimizes to a document of at most five nodes. *)
+(* Skip the full merge behind a passing spine precheck, so the probe
+   takes every item the spines cannot close as open.  The [interact-batch]
+   differential oracle — batch-refold sessions versus incremental sessions
+   must ask byte-identical question sequences — catches the fault within a
+   few dozen cases, and the counterexample minimizes to a document of at
+   most five nodes. *)
+let set_full_merge = Twiglearn.Positive.Incremental.set_full_merge
+
 let test_injected_probe_bug_caught () =
-  Twiglearn.Interactive.set_probe_recheck false;
+  set_full_merge false;
   let report =
     Fun.protect
-      ~finally:(fun () -> Twiglearn.Interactive.set_probe_recheck true)
+      ~finally:(fun () -> set_full_merge true)
       (fun () ->
         Fuzz.Runner.run
           ~oracles:[ find "interact-batch" ]
@@ -234,9 +236,9 @@ let test_injected_probe_bug_caught () =
         true
         (artifact.shrunk_size <= 5);
       (* With the fault still injected the artifact reproduces the bug ... *)
-      Twiglearn.Interactive.set_probe_recheck false;
+      set_full_merge false;
       (Fun.protect
-         ~finally:(fun () -> Twiglearn.Interactive.set_probe_recheck true)
+         ~finally:(fun () -> set_full_merge true)
        @@ fun () ->
        match Fuzz.Runner.replay artifact with
        | `Failed _ -> ()
@@ -247,7 +249,7 @@ let test_injected_probe_bug_caught () =
       | `Passed -> ()
       | `Failed r -> Alcotest.failf "still failing after repair: %s" r
       | `Unknown_oracle o -> Alcotest.failf "unknown oracle %s" o)
-  | [] -> Alcotest.fail "injected probe-recheck bug was not caught"
+  | [] -> Alcotest.fail "injected spine-precheck bug was not caught"
   | _ -> Alcotest.fail "expected exactly one counterexample"
 
 (* A healthy engine passes the same oracle on the same seeds — the demo

@@ -4,8 +4,9 @@
    journaled session per engine, driven two ways: through the batch loop
    ([Loop.run_flaky]: the CLI's keyed flaky user, a retry policy, periodic
    checkpoints) and through the server's [Stepper] (seeded replies,
-   periodic checkpoints).  The digests are constants: any change to the
-   session protocol's question order, pruning, refusal handling, or
+   periodic checkpoints); and of five reliable twig sessions on the
+   benchmark's learn-twig document.  The digests are constants: any change
+   to the session protocol's question order, pruning, refusal handling, or
    checkpoint contents shows up here as a different hash.
 
    The CLI tests drive the real binary through a crash and one or two
@@ -174,6 +175,27 @@ let stepper_digest spec goal =
         (v.Server.Stepper.refused > 0);
       digest_of path)
 
+(* ------------------------------------------------------------------ *)
+(* The benchmark document: reliable sessions on XMark scale 3, seed 7   *)
+(* ------------------------------------------------------------------ *)
+
+(* perfbench's learn-twig document (1,199 element nodes).  After its
+   first positive a session probes every open item again on each round,
+   so these pin the determined-scan's verdicts on hundreds of probes. *)
+let xmark3 = lazy (Benchkit.Xmark.generate ~scale:3. ~seed:7 ())
+
+let xmark3_session goal ~questions () =
+  journaled_digest ~engine:"golden-xmark3" (fun j ->
+      let goal = Twig.Parse.query goal in
+      let o =
+        Twiglearn.Interactive.Loop.run
+          ~journal:(j, Twiglearn.Interactive.encode_item)
+          ~oracle:(Twig.Eval.selects_example goal)
+          ~items:(Twiglearn.Interactive.items_of_doc (Lazy.force xmark3))
+          ()
+      in
+      Alcotest.(check int) "questions" questions o.questions)
+
 let spec engine =
   { Server.Engines.engine; seed = 7; scale = 0.02; rows = 6; cities = 6 }
 
@@ -194,6 +216,21 @@ let golden_cases =
     ( "stepper path",
       "0f764c263e5429b10a0a6e6940581767",
       fun () -> stepper_digest (spec "path") "highway highway*" );
+    ( "xmark3 //person[profile/education]/name",
+      "6433ae2b76145b2d4610e3c24e32122b",
+      xmark3_session "//person[profile/education]/name" ~questions:612 );
+    ( "xmark3 //person/name",
+      "52146506bfdb3086a27dc7970dc07211",
+      xmark3_session "//person/name" ~questions:554 );
+    ( "xmark3 //open_auction[bidder]/current",
+      "df8e804da8a834a3446e430f340a68b3",
+      xmark3_session "//open_auction[bidder]/current" ~questions:795 );
+    ( "xmark3 //closed_auction/annotation",
+      "d653bdf3f0c6629070f7809bbf108ac9",
+      xmark3_session "//closed_auction/annotation" ~questions:1106 );
+    ( "xmark3 //item/location",
+      "e4db314ba3e617fc03962638f08e205c",
+      xmark3_session "//item/location" ~questions:9 );
   ]
 
 (* ------------------------------------------------------------------ *)
