@@ -1,7 +1,7 @@
-(* The hot path of interactive twig learning: incremental LGG, the spine
-   precheck of each determined-probe, and the hash-consed containment
-   cache, measured end-to-end on the interactive learn-twig session that
-   BENCH_PR3 profiled ([twig.lgg] was 62% of wall time there).
+(* The hot path of interactive twig learning: incremental LGG and the spine
+   precheck of each determined-probe, measured end-to-end on the
+   interactive learn-twig session that BENCH_PR3 profiled ([twig.lgg] was
+   62% of wall time there).
 
    Both rows play the *same* deterministic session — the session module
    changes how fast the answers are computed, never which questions are
@@ -10,9 +10,8 @@
    per answer and per probe.  Both rows run on the index-backed evaluator.
 
    Each row times repeats of one session in one process.  No learner memo
-   carries over between reps; the [Twig.Eval] and [Twig.Contain] caches
-   still do, so a later rep can reuse the evaluation masks and containment
-   verdicts an earlier rep computed.
+   carries over between reps; only the [Twig.Eval] probe cache does, so a
+   later rep can reuse the evaluation masks an earlier rep computed.
 
    Results go to BENCH_PR4.json — machine-readable, for the CI artifact and
    the >= 2x learn-twig speedup gate (target 3x). *)
@@ -63,8 +62,6 @@ type result = {
   r_lgg_spans : span_line list;  (* twig.lgg / twig.lgg.inc aggregates *)
   r_lgg_calls : int;  (* batch refolds *)
   r_inc_calls : int;  (* incremental merges *)
-  r_contain_hits : int;
-  r_contain_misses : int;
 }
 
 let counter_value name = T.Metrics.counter_value (T.Metrics.counter name)
@@ -114,8 +111,6 @@ let measure workload c =
       r_lgg_spans = lgg_spans;
       r_lgg_calls = counter_value "learnq.twiglearn.lgg_calls";
       r_inc_calls = counter_value "learnq.twiglearn.lgg_inc_calls";
-      r_contain_hits = counter_value "learnq.twig.contain_cache_hits";
-      r_contain_misses = counter_value "learnq.twig.contain_cache_misses";
     }
   in
   T.reset ();
@@ -137,13 +132,12 @@ let result_json ~baseline_s r =
     {|    { "config": %S, "batch_lgg": %b,
       "questions": %d, "median_s": %.6f, "speedup": %.2f,
       "lgg_refolds": %d, "lgg_incremental_merges": %d,
-      "contain_cache": { "hits": %d, "misses": %d },
       "lgg_spans": [
 %s
       ] }|}
     r.r_config.c_name r.r_config.c_batch r.r_questions r.r_median_s
     (if r.r_median_s > 0. then baseline_s /. r.r_median_s else 0.)
-    r.r_lgg_calls r.r_inc_calls r.r_contain_hits r.r_contain_misses
+    r.r_lgg_calls r.r_inc_calls
     (String.concat ",\n" (List.map span_json r.r_lgg_spans))
 
 let run () =

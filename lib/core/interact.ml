@@ -202,8 +202,8 @@ module Make (S : SESSION) = struct
         S.determined state it = None)
       remaining
 
-  let advance ?rng ?(strategy = first_strategy) ?(stop = fun () -> false)
-      ~budget t =
+  let advance ?(seed = 0) ?(strategy = first_strategy)
+      ?(stop = fun () -> false) ~budget t =
     if t.current = None && not t.done_ then
       match scan budget t.state t.pool with
       | exception Budget.Out_of_budget ->
@@ -220,8 +220,11 @@ module Make (S : SESSION) = struct
             t.done_ <- true
           end
           else if not (stop ()) then begin
-            let rng = match rng with Some r -> r | None -> Prng.create 0 in
-            let item = strategy rng t.state opens in
+            (* Keyed by the question, not drawn from a stream shared with
+               earlier picks: a resumed session replays its first answers
+               without picking them, and must then pick what the
+               uninterrupted one picked. *)
+            let item = strategy (Prng.create (seed + t.qid)) t.state opens in
             (* The ask is journaled before it is exposed: when storage
                refuses the record nothing has moved (item still pooled, qid
                unbumped), so a later advance re-derives the same question
@@ -320,6 +323,9 @@ module Make (S : SESSION) = struct
       match budget with Some b -> b | None -> Budget.unlimited ()
     in
     let t = start ?journal ?resume ?checkpoint_every ?snapshot ~items () in
+    (* Drawn from a copy, so [rng]'s own stream (retry jitter) is left as
+       it was; a resumed process holds [rng] in the same state here. *)
+    let seed = Int64.to_int (Prng.next_int64 (Prng.copy rng)) in
     if Telemetry.enabled () && t.replayed > 0 then
       Telemetry.Metrics.incr m_replayed ~by:t.replayed;
     let breaker = Option.map (fun p -> (p, Retry.breaker p)) retry in
@@ -392,7 +398,7 @@ module Make (S : SESSION) = struct
        breaker), so the caller can degrade via its fallback ladder. *)
     let stop () = t.questions >= max_questions || breaker_is_open () in
     let rec loop () =
-      advance ~rng ~strategy ~stop ~budget t;
+      advance ~seed ~strategy ~stop ~budget t;
       match t.current with
       | None ->
           (* Finished, or stopped: by the cap (not degraded) or by the

@@ -57,7 +57,10 @@ module type SESSION = sig
   val pp_query : Format.formatter -> query -> unit
 end
 
-(** How the next question is chosen among the informative items. *)
+(** How the next question is chosen among the informative items.  The
+    generator is fresh for each question, derived from a session seed and
+    the question's {!Make.qid}, so a resumed session picks as the
+    uninterrupted one did. *)
 type ('state, 'item) strategy = Prng.t -> 'state -> 'item list -> 'item
 
 val first_strategy : ('state, 'item) strategy
@@ -113,7 +116,7 @@ module Make (S : SESSION) : sig
       state encoder) runs {!take_checkpoint} every N labeled answers. *)
 
   val advance :
-    ?rng:Prng.t ->
+    ?seed:int ->
     ?strategy:(S.state, S.item) strategy ->
     ?stop:(unit -> bool) ->
     budget:Budget.t ->
@@ -126,9 +129,11 @@ module Make (S : SESSION) : sig
       budget exhaustion finishes it {!degraded}, with no [Completed], so
       the journal stays resumable under a bigger budget.  Then, unless
       [stop ()] holds, [strategy] (default {!first_strategy}) picks the next
-      question and its [Asked] is journaled.  When storage refuses that
-      record the question rolls back whole and {!Journal.Io} propagates; a
-      later call re-derives the same question.
+      question and its [Asked] is journaled.  The strategy draws from a
+      generator made from [seed] (default 0) and the new question's
+      {!qid}.  When storage refuses that record the question rolls back
+      whole and {!Journal.Io} propagates; a later call re-derives the same
+      question.
 
       Each scan runs in an [interact.scan] span whose detail counts the
       items probed ([items=N]), on the calling domain. *)
@@ -214,9 +219,11 @@ module Make (S : SESSION) : sig
       against an unreliable user ({!Flaky}): the open question goes to
       [oracle] until no informative item remains or [max_questions] live
       labels have been taken.  [journal], [resume], [checkpoint_every] and
-      [snapshot] are as in {!start}; [strategy] as in {!advance}.  Replays count in [replayed], not
-      [questions], and the [asked] transcript covers the events since the
-      last checkpoint.
+      [snapshot] are as in {!start}; [strategy] as in {!advance}, whose
+      seed is drawn once, at entry, from a copy of [rng] (default seed 0);
+      [rng] itself feeds the retry policy's jitter.  Replays count in
+      [replayed], not [questions], and the [asked] transcript covers the
+      events since the last checkpoint.
 
       When [budget] runs out mid-session the loop returns the current
       candidate with [degraded = true] instead of raising.  [retry]

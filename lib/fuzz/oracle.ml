@@ -36,7 +36,7 @@ let pp_edge ppf ((a, f) : Query.axis * Query.filter) =
 
 (* ------------------------------------------------------------------ *)
 (* eval-cache: selects (memoized membership) ≡ select (fresh scan),    *)
-(* under physically distinct and hash-consed copies of the query       *)
+(* under the query itself and a physically distinct copy of it         *)
 (* ------------------------------------------------------------------ *)
 
 let rec copy_filter (f : Query.filter) =
@@ -49,15 +49,6 @@ let copy_query (q : Query.t) =
       { Query.axis = s.axis;
         test = s.test;
         filters = List.map (fun (a, f) -> (a, copy_filter f)) s.filters })
-    q
-
-let intern_query (q : Query.t) =
-  List.map
-    (fun (s : Query.step) ->
-      { s with
-        Query.test = Twig.Hcons.test s.test;
-        filters =
-          List.map (fun (a, f) -> (a, fst (Twig.Hcons.filter f))) s.filters })
     q
 
 let check_eval_cache (t, qs) =
@@ -77,13 +68,13 @@ let check_eval_cache (t, qs) =
                   variant cached fresh (pstr Tree.pp_path p)
                   (Query.to_string q))
             paths)
-        [ ("same", q); ("copy", copy_query q); ("hcons", intern_query q) ])
+        [ ("same", q); ("copy", copy_query q) ])
     qs
 
 let eval_cache =
   Spec
     { name = "eval-cache";
-      about = "Eval.selects probe cache ≡ fresh Eval.select, incl. Hcons'd queries";
+      about = "Eval.selects probe cache ≡ fresh Eval.select, incl. copied queries";
       generate =
         (fun g ~size ->
           let t = Gen.tree g ~size:(max 2 size) in
@@ -108,39 +99,41 @@ let eval_cache =
     }
 
 (* ------------------------------------------------------------------ *)
-(* contain-cache: memoized filter_subsumed ≡ uncached, across an       *)
-(* Hcons generation bump                                               *)
+(* filter-contain-vs-eval: filter implication ≡ containment of the     *)
+(* one-filter queries //*[e], and sound against evaluation             *)
 (* ------------------------------------------------------------------ *)
 
-let check_contain_cache edges =
-  let pairs =
-    List.concat_map (fun e1 -> List.map (fun e2 -> (e1, e2)) edges) edges
-  in
-  let round tag =
-    check_all
-      (fun (e1, e2) ->
-        let cached = Twig.Contain.filter_subsumed e1 e2 in
-        let fresh = Twig.Contain.filter_subsumed_uncached e1 e2 in
-        if cached = fresh then Ok ()
-        else
-          failf "%s: filter_subsumed %s ⊑ %s: cached=%b uncached=%b" tag
-            (pstr pp_edge e1) (pstr pp_edge e2) cached fresh)
-      pairs
-  in
-  let* () = round "warm" in
-  Twig.Hcons.clear ();
-  round "post-clear"
+let one_filter_query e =
+  [ { Query.axis = Query.Descendant; test = Query.Wildcard; filters = [ e ] } ]
 
-let contain_cache =
+let check_filter_contain edges =
+  check_all
+    (fun (e1, e2) ->
+      let q1 = one_filter_query e1 and q2 = one_filter_query e2 in
+      let verdict = Twig.Contain.filter_subsumed e1 e2 in
+      let via_query = Twig.Contain.subsumed q1 q2 in
+      if verdict <> via_query then
+        failf "filter_subsumed %s ⊑ %s = %b but subsumed %s %s = %b"
+          (pstr pp_edge e1) (pstr pp_edge e2) verdict (Query.to_string q1)
+          (Query.to_string q2) via_query
+      else if verdict && not (Twig.Contain.subsumed_semantic q1 q2) then
+        failf "filter_subsumed %s ⊑ %s holds but subsumed_semantic denies it"
+          (pstr pp_edge e1) (pstr pp_edge e2)
+      else Ok ())
+    (List.concat_map (fun e1 -> List.map (fun e2 -> (e1, e2)) edges) edges)
+
+let filter_contain_vs_eval =
   Spec
-    { name = "contain-cache";
-      about = "Contain.filter_subsumed memo ≡ uncached, across Hcons.clear";
+    { name = "filter-contain-vs-eval";
+      about =
+        "Contain.filter_subsumed e1 e2 ≡ subsumed //*[e1] //*[e2], sound \
+         under subsumed_semantic";
       generate =
         (fun g ~size ->
           List.init
             (Prng.int_in g 2 5)
             (fun _ -> Gen.filter_edge g ~size:(max 1 (size / 2))));
-      check = check_contain_cache;
+      check = check_filter_contain;
       candidates = Shrink.list_ Shrink.filter_edge;
       print =
         (fun edges -> String.concat "\n" (List.map (pstr pp_edge) edges));
@@ -1579,7 +1572,7 @@ let xmlstore_eval =
 let all =
   [ eval_cache;
     xmlstore_eval;
-    contain_cache;
+    filter_contain_vs_eval;
     contain_vs_eval;
     lgg_incremental;
     interact_batch;

@@ -130,9 +130,10 @@ let hom_exists ?(require_out = true) p2 p1 =
            (fun v -> can_map p2.proot v)
            (descendants p1).(p1.proot.pid)
 
-(* Containment sits on the hottest path in the repo (millions of calls per
-   interactive session via lgg minimization), so it gets counters only —
-   spans here would dominate the trace and the runtime. *)
+(* Containment sits on the twig learner's inner loop (lgg minimization
+   checks filter pairs: ~70 calls per question on the benchmark's learn-twig
+   session), so it gets counters only — a span per call would dominate the
+   trace. *)
 let m_subsumed = Core.Telemetry.Metrics.counter "learnq.twig.contain_calls"
 
 let m_filter_subsumed =
@@ -148,7 +149,8 @@ let subsumed q1 q2 =
 
 let equiv q1 q2 = subsumed q1 q2 && subsumed q2 q1
 
-let filter_subsumed_uncached (a1, f1) (a2, f2) =
+let filter_subsumed (a1, f1) (a2, f2) =
+  Core.Telemetry.Metrics.incr m_filter_subsumed;
   let p1 = pattern_of_filter f1 and p2 = pattern_of_filter f2 in
   let root_to_root () = hom_exists ~require_out:false p2 p1 in
   let root_to_any () =
@@ -166,57 +168,13 @@ let filter_subsumed_uncached (a1, f1) (a2, f2) =
   | Query.Descendant, Query.Descendant -> root_to_any ()
   | Query.Descendant, Query.Child -> false
 
-(* ------------------------------------------------------------------ *)
-(* Memoized filter containment                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* [filter_subsumed] keys a per-domain memo table on hash-consed filter ids
-   (Hcons): the LGG keeps its filter nodes alive across merges and probes,
-   so the same (edge, edge) pairs recur throughout a session and each
-   repeat costs one int-pair lookup instead of a homomorphism search.  The
-   table is bounded (cleared wholesale at capacity) and tied to the Hcons
-   generation, whose clears invalidate the ids it is keyed on. *)
-
-let m_cache_hits = Core.Telemetry.Metrics.counter "learnq.twig.contain_cache_hits"
-
-let m_cache_misses =
-  Core.Telemetry.Metrics.counter "learnq.twig.contain_cache_misses"
-
-let cache_capacity = 1 lsl 16
-
-type memo = { tbl : (int * int, bool) Hashtbl.t; mutable m_gen : int }
-
-let memo_dls : memo Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { tbl = Hashtbl.create 4096; m_gen = 0 })
-
-let filter_subsumed (a1, f1) (a2, f2) =
-  Core.Telemetry.Metrics.incr m_filter_subsumed;
-  let memo = Domain.DLS.get memo_dls in
-  let gen = Hcons.generation () in
-  if memo.m_gen <> gen then begin
-    Hashtbl.reset memo.tbl;
-    memo.m_gen <- gen
-  end;
-  let f1c, id1 = Hcons.filter f1 and f2c, id2 = Hcons.filter f2 in
-  (* An id re-check: interning may itself have cleared the tables. *)
-  let gen' = Hcons.generation () in
-  if memo.m_gen <> gen' then begin
-    Hashtbl.reset memo.tbl;
-    memo.m_gen <- gen'
-  end;
-  let axis_bit = function Query.Child -> 0 | Query.Descendant -> 1 in
-  let key = ((id1 lsl 1) lor axis_bit a1, (id2 lsl 1) lor axis_bit a2) in
-  match Hashtbl.find_opt memo.tbl key with
-  | Some b ->
-      Core.Telemetry.Metrics.incr m_cache_hits;
-      b
-  | None ->
-      Core.Telemetry.Metrics.incr m_cache_misses;
-      let b = filter_subsumed_uncached (a1, f1c) (a2, f2c) in
-      if Hashtbl.length memo.tbl >= cache_capacity then Hashtbl.reset memo.tbl;
-      Hashtbl.add memo.tbl key b;
-      b
+(* Registered but never incremented: there is no containment cache.
+   perfbench's traced learn-twig run reads both to compute
+   twig.contain.cache_hit_ratio (which reads 0) and fails without them. *)
+let () =
+  List.iter
+    (fun name -> ignore (Core.Telemetry.Metrics.counter name))
+    [ "learnq.twig.contain_cache_hits"; "learnq.twig.contain_cache_misses" ]
 
 (* ------------------------------------------------------------------ *)
 (* Canonical models                                                    *)

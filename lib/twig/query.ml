@@ -4,10 +4,6 @@ type filter = { ftest : test; fsubs : (axis * filter) list }
 type step = { axis : axis; test : test; filters : (axis * filter) list }
 type t = step list
 
-let path pairs =
-  if pairs = [] then invalid_arg "Query.path: empty query";
-  List.map (fun (axis, l) -> { axis; test = Label l; filters = [] }) pairs
-
 let rec filter_size f =
   1 + List.fold_left (fun acc (_, g) -> acc + filter_size g) 0 f.fsubs
 

@@ -29,9 +29,6 @@ type t = step list
     document root (so [\[{axis=Child; test=Label "a"; _}\]] is XPath [/a] and
     [Descendant] there is [//a]).  The last step is the output node. *)
 
-val path : (axis * string) list -> t
-(** Filterless query from (axis, label) pairs. *)
-
 val size : t -> int
 (** Number of pattern nodes (spine nodes + all filter nodes) — the query-size
     measure of experiment E3. *)

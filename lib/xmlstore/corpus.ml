@@ -1,7 +1,5 @@
 type t = { stores : Store.t array }
 
-let of_stores stores = { stores }
-
 let of_trees ?pool trees =
   match pool with
   | None -> { stores = Array.map Store.of_tree trees }

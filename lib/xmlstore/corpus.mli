@@ -16,8 +16,6 @@ type t
 val of_trees : ?pool:Core.Pool.t -> Xmltree.Tree.t array -> t
 (** Label every document; with a pool, shards are labeled in parallel. *)
 
-val of_stores : Store.t array -> t
-
 val shards : t -> int
 val store : t -> int -> Store.t
 

@@ -5,33 +5,3 @@ type fnode = { ftest : test; fedges : (axis * int) list }
 type step = { saxis : axis; stest : test; sedges : (axis * int) list }
 
 type t = { fnodes : fnode array; steps : step array }
-
-let node_count t = Array.length t.steps + Array.length t.fnodes
-
-let pp_test ppf = function
-  | Wild -> Format.pp_print_string ppf "*"
-  | Name l -> Format.pp_print_string ppf l
-
-let pp_axis ppf = function
-  | Child -> Format.pp_print_string ppf "/"
-  | Descendant -> Format.pp_print_string ppf "//"
-
-let pp ppf t =
-  let rec pp_fnode ppf j =
-    let f = t.fnodes.(j) in
-    Format.fprintf ppf "%a%a" pp_test f.ftest pp_edges f.fedges
-  and pp_edges ppf = function
-    | [] -> ()
-    | edges ->
-        Format.fprintf ppf "[%a]"
-          (Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " and ")
-             (fun ppf (a, j) ->
-               Format.fprintf ppf "%a%a" pp_axis a pp_fnode j))
-          edges
-  in
-  Array.iter
-    (fun s ->
-      Format.fprintf ppf "%a%a%a" pp_axis s.saxis pp_test s.stest pp_edges
-        s.sedges)
-    t.steps

@@ -14,8 +14,3 @@ type fnode = { ftest : test; fedges : (axis * int) list }
 type step = { saxis : axis; stest : test; sedges : (axis * int) list }
 
 type t = { fnodes : fnode array; steps : step array }
-
-val node_count : t -> int
-(** Spine steps plus filter nodes. *)
-
-val pp : Format.formatter -> t -> unit

@@ -64,9 +64,6 @@ val is_ancestor : t -> int -> int -> bool
 val is_child : t -> int -> int -> bool
 (** [is_child t p c]: is [c] a child of [p]?  O(1). *)
 
-val name_id : t -> string -> int option
-(** Interned id of an element name, if it occurs in the document. *)
-
 val postings : t -> string -> int array
 (** Inverted node list for a name, ascending preorder ids; [[||]] if the
     name does not occur.  The returned array is cached and shared — treat

@@ -74,6 +74,7 @@ check twig 1 twig "$tmp/doc.xml" --seed 7
 noise=(--noise 0.1)
 check noisy-twig 1 twig "$tmp/small.xml" --seed 1 "${noise[@]}"
 check noisy-join 1 "$EXE" learn-join --rows 10 --seed 2 "${noise[@]}"
+check noisy-random-join 1 "$EXE" learn-join --rows 10 --seed 2 --strategy random "${noise[@]}"
 check noisy-path 1 "$EXE" learn-path --seed 1 "${noise[@]}"
 
 # A noisy user who also refuses and times out, so questions are retried.

@@ -52,7 +52,7 @@ let case_stream_digests =
   [
     ("eval-cache", "9c9f403866ecd8356ceeba5b91a58e95");
     ("xmlstore-eval", "9c9f403866ecd8356ceeba5b91a58e95");
-    ("contain-cache", "1fdaf507fe3663b24afedadfb0bd0917");
+    ("filter-contain-vs-eval", "1fdaf507fe3663b24afedadfb0bd0917");
     ("contain-vs-eval", "9125edeebd3a3448dec7e54bd5700892");
     ("lgg-incremental", "f66406951ff55fd0ef4fbcb67c5c9529");
     ("interact-batch", "d84823d110513d9dc699481866db6915");

@@ -364,35 +364,6 @@ let prop_canonical_selected =
         (fun (t, out) -> Eval.selects q t out)
         (Contain.canonical_instances q))
 
-(* Every (axis, filter) pair appearing in a query, including nested ones. *)
-let rec filters_of_filter ((a, f) : Query.axis * Query.filter) =
-  (a, f) :: List.concat_map filters_of_filter f.Query.fsubs
-
-let filters_of_query (q : Query.t) =
-  List.concat_map
-    (fun (s : Query.step) -> List.concat_map filters_of_filter s.filters)
-    q
-
-(* The hash-consed memo in front of [filter_subsumed] must be semantically
-   invisible: same verdicts as the uncached recursion, in both argument
-   orders (the cache key is ordered), with the cache warm from earlier
-   iterations of this very property. *)
-let prop_filter_cache_transparent =
-  QCheck.Test.make ~name:"cached ≡ uncached filter_subsumed" ~count:300
-    (QCheck.pair arbitrary_query arbitrary_query)
-    (fun (q1, q2) ->
-      let fs1 = filters_of_query q1 and fs2 = filters_of_query q2 in
-      List.for_all
-        (fun a ->
-          List.for_all
-            (fun b ->
-              Contain.filter_subsumed a b
-              = Contain.filter_subsumed_uncached a b
-              && Contain.filter_subsumed b a
-                 = Contain.filter_subsumed_uncached b a)
-            fs2)
-        fs1)
-
 (* ------------------------------------------------------------------ *)
 (* LGG                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -512,7 +483,6 @@ let () =
           qcheck prop_hom_sound;
           qcheck prop_hom_complete_anchored;
           qcheck prop_canonical_selected;
-          qcheck prop_filter_cache_transparent;
         ] );
       ( "lgg",
         [
