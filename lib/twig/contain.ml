@@ -1,8 +1,12 @@
 (* Pattern view of a query: a single tree with a distinguished output node,
-   used for homomorphism checks and canonical-model generation. *)
+   used for homomorphism checks and canonical-model generation.  Pids are
+   preorder, so the strict descendants of [n] are exactly the pids
+   [n.pid + 1 .. n.plast]: a descendant edge scans that range of
+   [pnodes]. *)
 
 type pnode = {
   pid : int;
+  plast : int;  (** the last pid of this node's subtree *)
   ptest : Query.test;
   pout : bool;
   psubs : (Query.axis * pnode) list;
@@ -15,120 +19,95 @@ type pattern = {
   pnodes : pnode array;  (** indexed by [pid] *)
 }
 
+(* [make_root node] builds the tree through [node ptest pout subs], which
+   numbers the node before [subs ()] builds its children. *)
 let build_pattern ~first_axis ~make_root =
   let counter = ref 0 in
   let acc = ref [] in
-  let fresh_id () =
-    let id = !counter in
+  let node ptest pout subs =
+    let pid = !counter in
     incr counter;
-    id
-  in
-  let register n =
+    let psubs = subs () in
+    let n = { pid; plast = !counter - 1; ptest; pout; psubs } in
     acc := n :: !acc;
     n
   in
-  let root = make_root fresh_id register in
+  let root = make_root node in
   let pnodes = Array.make !counter root in
   List.iter (fun n -> pnodes.(n.pid) <- n) !acc;
   { first_axis; proot = root; pcount = !counter; pnodes }
 
-let rec pnode_of_filter fresh_id register (f : Query.filter) =
-  let id = fresh_id () in
-  let subs =
-    List.map (fun (a, g) -> (a, pnode_of_filter fresh_id register g)) f.fsubs
-  in
-  register { pid = id; ptest = f.ftest; pout = false; psubs = subs }
+let rec pnode_of_filter node (f : Query.filter) =
+  node f.ftest false (fun () ->
+      List.map (fun (a, g) -> (a, pnode_of_filter node g)) f.fsubs)
 
 let pattern_of_query (q : Query.t) =
   match q with
   | [] -> invalid_arg "Contain: empty query"
   | first :: _ ->
-      build_pattern ~first_axis:first.axis ~make_root:(fun fresh_id register ->
+      build_pattern ~first_axis:first.axis ~make_root:(fun node ->
           let rec spine = function
             | [] -> assert false
             | (s : Query.step) :: rest ->
-                let id = fresh_id () in
-                let filter_subs =
-                  List.map
-                    (fun (a, f) -> (a, pnode_of_filter fresh_id register f))
-                    s.filters
-                in
-                let spine_subs =
-                  match rest with
-                  | [] -> []
-                  | next :: _ -> [ (next.axis, spine rest) ]
-                in
-                register
-                  {
-                    pid = id;
-                    ptest = s.test;
-                    pout = rest = [];
-                    psubs = filter_subs @ spine_subs;
-                  }
+                node s.test (rest = []) (fun () ->
+                    let filter_subs =
+                      List.map
+                        (fun (a, f) -> (a, pnode_of_filter node f))
+                        s.filters
+                    in
+                    match rest with
+                    | [] -> filter_subs
+                    | next :: _ -> filter_subs @ [ (next.axis, spine rest) ])
           in
           spine q)
 
 let pattern_of_filter (f : Query.filter) =
-  build_pattern ~first_axis:Query.Child ~make_root:(fun fresh_id register ->
-      pnode_of_filter fresh_id register f)
+  build_pattern ~first_axis:Query.Child ~make_root:(fun node ->
+      pnode_of_filter node f)
 
-(* Strict descendants (via any edge kind) of every node of a pattern. *)
-let descendants pat =
-  let table = Array.make pat.pcount [] in
-  let rec go n =
-    let below =
-      List.concat_map (fun (_, c) -> c :: go_memo c) n.psubs
-    in
-    table.(n.pid) <- below;
-    below
-  and go_memo c =
-    (* children are processed before parents read their entry *)
-    if table.(c.pid) = [] then go c else table.(c.pid)
-  in
-  ignore (go pat.proot);
-  table
+(* Does [f] hold of some node of [p] with a pid in [lo .. hi]? *)
+let rec exists_range p lo hi f =
+  lo <= hi && (f p.pnodes.(lo) || exists_range p (lo + 1) hi f)
 
-(* Homomorphism from pattern [p2] into pattern [p1]; [require_out] demands
-   output nodes map to output nodes (containment); filters set it false. *)
-let hom_exists ?(require_out = true) p2 p1 =
-  let desc1 = descendants p1 in
-  let memo = Hashtbl.create 64 in
-  let rec can_map (u2 : pnode) (u1 : pnode) =
-    let key = (u2.pid, u1.pid) in
-    match Hashtbl.find_opt memo key with
-    | Some b -> b
-    | None ->
-        (* Break potential re-entry conservatively: patterns are trees, so
-           recursion is well-founded; no placeholder needed. *)
-        let test_ok =
-          match u2.ptest with
-          | Query.Wildcard -> true
-          | Query.Label l -> u2.ptest = u1.ptest || u1.ptest = Query.Label l
-        in
-        let out_ok = (not require_out) || (not u2.pout) || u1.pout in
-        let subs_ok =
-          test_ok && out_ok
+(* [hom ~require_out p2 p1 u2 u1]: is there a homomorphism from [p2]'s
+   subtree at [u2] into [p1] sending [u2] to [u1]?  [require_out] demands
+   output nodes map to output nodes (containment); filters set it false.
+   Partially applied to the two patterns it is one check, and its one flat
+   memo (pid pairs, 0 unknown / 1 yes / 2 no) serves every root the check
+   tries. *)
+let hom ~require_out p2 p1 =
+  let width = p1.pcount in
+  let memo = Bytes.make (p2.pcount * width) '\000' in
+  let rec can_map u2 u1 =
+    let k = (u2.pid * width) + u1.pid in
+    match Bytes.get memo k with
+    | '\001' -> true
+    | '\002' -> false
+    | _ ->
+        let ok =
+          (match (u2.ptest, u1.ptest) with
+          | Query.Wildcard, _ -> true
+          | Query.Label l2, Query.Label l1 -> String.equal l2 l1
+          | Query.Label _, Query.Wildcard -> false)
+          && ((not require_out) || (not u2.pout) || u1.pout)
           && List.for_all
                (fun (a, s2) ->
                  match a with
                  | Query.Child ->
                      List.exists
-                       (fun (a1, v) -> a1 = Query.Child && can_map s2 v)
+                       (fun (a1, v) ->
+                         match a1 with
+                         | Query.Child -> can_map s2 v
+                         | Query.Descendant -> false)
                        u1.psubs
                  | Query.Descendant ->
-                     List.exists (fun v -> can_map s2 v) desc1.(u1.pid))
+                     exists_range p1 (u1.pid + 1) u1.plast (can_map s2))
                u2.psubs
         in
-        Hashtbl.add memo key subs_ok;
-        subs_ok
+        Bytes.set memo k (if ok then '\001' else '\002');
+        ok
   in
-  match p2.first_axis with
-  | Query.Child -> p1.first_axis = Query.Child && can_map p2.proot p1.proot
-  | Query.Descendant ->
-      can_map p2.proot p1.proot
-      || List.exists
-           (fun v -> can_map p2.proot v)
-           (descendants p1).(p1.proot.pid)
+  can_map
 
 (* Containment sits on the twig learner's inner loop (lgg minimization
    checks filter pairs: ~70 calls per question on the benchmark's learn-twig
@@ -145,28 +124,42 @@ let m_semantic =
 let subsumed q1 q2 =
   Core.Telemetry.Metrics.incr m_subsumed;
   let p1 = pattern_of_query q1 and p2 = pattern_of_query q2 in
-  hom_exists p2 p1
+  let can_map = hom ~require_out:true p2 p1 in
+  match p2.first_axis with
+  | Query.Child -> p1.first_axis = Query.Child && can_map p2.proot p1.proot
+  | Query.Descendant -> exists_range p1 0 (p1.pcount - 1) (can_map p2.proot)
 
 let equiv q1 q2 = subsumed q1 q2 && subsumed q2 q1
 
-let filter_subsumed (a1, f1) (a2, f2) =
+(* Does the condition [(a1, f1)] imply [(a2, f2)], given their patterns?
+   A child edge must map root to root; a descendant one may land anywhere
+   in [p1]; a descendant condition never implies a child one.  The
+   patterns are forced only when the axes leave the question open. *)
+let implies a1 p1 a2 p2 =
   Core.Telemetry.Metrics.incr m_filter_subsumed;
-  let p1 = pattern_of_filter f1 and p2 = pattern_of_filter f2 in
-  let root_to_root () = hom_exists ~require_out:false p2 p1 in
-  let root_to_any () =
-    hom_exists ~require_out:false p2 p1
-    || List.exists
-         (fun v ->
-           hom_exists ~require_out:false
-             { p2 with first_axis = Query.Child }
-             { p1 with proot = v; first_axis = Query.Child })
-         (descendants p1).(p1.proot.pid)
-  in
   match (a1, a2) with
-  | Query.Child, Query.Child -> root_to_root ()
-  | Query.Child, Query.Descendant -> root_to_any ()
-  | Query.Descendant, Query.Descendant -> root_to_any ()
   | Query.Descendant, Query.Child -> false
+  | _, _ -> (
+      let p1 = Lazy.force p1 and p2 = Lazy.force p2 in
+      let can_map = hom ~require_out:false p2 p1 in
+      match a2 with
+      | Query.Child -> can_map p2.proot p1.proot
+      | Query.Descendant ->
+          exists_range p1 0 (p1.pcount - 1) (can_map p2.proot))
+
+let filter_subsumed (a1, f1) (a2, f2) =
+  implies a1 (lazy (pattern_of_filter f1)) a2 (lazy (pattern_of_filter f2))
+
+let maximal edges =
+  let compiled =
+    List.map (fun (a, f) -> (a, f, lazy (pattern_of_filter f))) edges
+  in
+  List.fold_left
+    (fun kept ((a2, _, p2) as e) ->
+      if List.exists (fun (a1, _, p1) -> implies a1 p1 a2 p2) kept then kept
+      else e :: kept)
+    [] compiled
+  |> List.rev_map (fun (a, f, _) -> (a, f))
 
 (* Registered but never incremented: there is no containment cache.
    perfbench's traced learn-twig run reads both to compute

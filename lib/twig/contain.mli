@@ -27,6 +27,14 @@ val filter_subsumed : Query.axis * Query.filter -> Query.axis * Query.filter -> 
     [(a2,f2)] at any node: used to prune redundant filters.  A direct
     homomorphism check, counted in [learnq.twig.filter_contain_calls]. *)
 
+val maximal :
+  (Query.axis * Query.filter) list -> (Query.axis * Query.filter) list
+(** [maximal edges] keeps, in order, each edge that no edge kept before it
+    implies: the fold [e] kept unless [filter_subsumed e' e] for a kept
+    [e'], with the same verdicts and the same count of
+    [learnq.twig.filter_contain_calls].  Each edge's pattern is built at
+    most once, and only if a check needs it. *)
+
 val canonical_instances :
   ?max_variants:int -> Query.t -> (Xmltree.Tree.t * Xmltree.Tree.path) list
 (** Canonical models of a query: pattern instances where wildcards become a

@@ -9,6 +9,14 @@ let merge_axis a1 a2 = match (a1, a2) with Child, Child -> Child | _ -> Descenda
    on is the production configuration. *)
 type mode = { label_guided : bool; rescue : bool }
 
+(* The edges of one root test on each side of a label-guided merge, each
+   list newest first. *)
+type group = {
+  gtest : test;
+  mutable left : (axis * filter) list;
+  mutable right : (axis * filter) list;
+}
+
 let rec lgg_filter_mode mode f1 f2 =
   {
     ftest = merge_test f1.ftest f2.ftest;
@@ -16,25 +24,18 @@ let rec lgg_filter_mode mode f1 f2 =
   }
 
 (* Keep only maximal (most specific) edges: an edge implied by another kept
-   edge is redundant.  Process in decreasing size so the most specific
-   representatives are kept first. *)
+   edge is redundant.  Process in decreasing size (a stable sort, so ties
+   keep their input order) so the most specific representatives are kept
+   first. *)
 and prune_maximal ~max_filters edges =
   let by_size =
-    List.sort
-      (fun (_, f1) (_, f2) -> compare (filter_size f2) (filter_size f1))
-      edges
+    List.map (fun ((_, f) as e) -> (filter_size f, e)) edges
+    |> List.stable_sort (fun (s1, _) (s2, _) -> compare s2 s1)
+    |> List.map snd
   in
-  let keep =
-    List.fold_left
-      (fun kept e ->
-        if List.exists (fun e' -> Contain.filter_subsumed e' e) kept then kept
-        else e :: kept)
-      [] by_size
-  in
-  let keep = List.rev keep in
-  (* Invariant: [keep] preserves [by_size]'s decreasing-size order — the fold
-     only drops elements and the reversal undoes the prepending — so capping
-     by specificity is a prefix take, no second sort. *)
+  let keep = Contain.maximal by_size in
+  (* Invariant: [keep] preserves [by_size]'s decreasing-size order, so
+     capping by specificity is a prefix take, no second sort. *)
   if List.length keep <= max_filters then keep
   else List.filteri (fun i _ -> i < max_filters) keep
 
@@ -47,7 +48,12 @@ and prune_maximal ~max_filters edges =
    implied by each member, so any node satisfying one side's filters
    satisfies every merged edge. *)
 and merge_edges ~mode ~max_filters e1s e2s =
-  if not mode.label_guided then
+  match (e1s, e2s) with
+  | [], _ | _, [] ->
+      (* Nothing to share, no test in every edge of both sides, no product:
+         exactly what the general case computes, without a check. *)
+      []
+  | _ when not mode.label_guided ->
     (* Naive product: every cross pair merges.  Sound, but conjunctions of
        per-example shapes accumulate — kept for the E13 ablation. *)
     let products =
@@ -59,24 +65,31 @@ and merge_edges ~mode ~max_filters e1s e2s =
         e1s
     in
     prune_maximal ~max_filters products
-  else
-  let tests_of es =
-    List.fold_left
-      (fun acc (_, f) -> if List.mem f.ftest acc then acc else f.ftest :: acc)
-      [] es
+  | (_, f0) :: _, _ ->
+  (* One pass groups both sides by root test: groups in reverse order of
+     first occurrence in [e1s], members in input order. *)
+  let groups = ref [] in
+  let group_of f =
+    List.find_opt (fun grp -> tests_equal grp.gtest f.ftest) !groups
   in
-  let shared =
-    List.filter
-      (fun t -> List.exists (fun (_, f) -> tests_equal f.ftest t) e2s)
-      (tests_of e1s)
-  in
+  List.iter
+    (fun ((_, f) as e) ->
+      match group_of f with
+      | Some grp -> grp.left <- e :: grp.left
+      | None ->
+          groups := { gtest = f.ftest; left = [ e ]; right = [] } :: !groups)
+    e1s;
+  List.iter
+    (fun ((_, f) as e) ->
+      match group_of f with
+      | Some grp -> grp.right <- e :: grp.right
+      | None -> ())
+    e2s;
+  let shared = List.filter (fun grp -> grp.right <> []) !groups in
   let merged =
     List.map
-      (fun t ->
-        let members es =
-          List.filter (fun (_, f) -> tests_equal f.ftest t) es
-        in
-        let group = members e1s @ members e2s in
+      (fun grp ->
+        let group = List.rev_append grp.left (List.rev grp.right) in
         let axis =
           if List.for_all (fun (a, _) -> a = Child) group then Child
           else Descendant
@@ -97,8 +110,15 @@ and merge_edges ~mode ~max_filters e1s e2s =
      common pattern — reachable by a descendant edge.  Collect, for each
      labeled test present in the subfilters of both sides but not merged at
      the top, the LGG of all its occurrences. *)
-  let rec subfilters f = f :: List.concat_map (fun (_, g) -> subfilters g) f.fsubs in
-  let occurs t f = List.exists (fun g -> tests_equal g.ftest t) (subfilters f) in
+  let rec occurs t f =
+    tests_equal f.ftest t || List.exists (fun (_, g) -> occurs t g) f.fsubs
+  in
+  let rec labels f acc =
+    List.fold_left
+      (fun acc (_, g) -> labels g acc)
+      (match f.ftest with Wildcard -> acc | t -> t :: acc)
+      f.fsubs
+  in
   (* Only tests present in EVERY edge of BOTH sides qualify: such a test is
      an invariant of each branch, so its loss at the top merge (different
      depths on the two sides, as with keyword under text vs. under
@@ -106,37 +126,39 @@ and merge_edges ~mode ~max_filters e1s e2s =
      descendant edge.  Tests present only in some branches are correctly
      generalized away. *)
   let invariant_tests =
-    match e1s with
-    | [] -> []
-    | (_, f0) :: _ ->
-        List.filter_map
-          (fun (g : filter) ->
-            match g.ftest with Wildcard -> None | t -> Some t)
-          (subfilters f0)
-        |> List.sort_uniq Stdlib.compare
-        |> List.filter (fun t ->
-               (not (List.exists (tests_equal t) shared))
-               && e2s <> []
-               && List.for_all (fun (_, f) -> occurs t f) e1s
-               && List.for_all (fun (_, f) -> occurs t f) e2s)
-  in
-  let rescued =
     if not mode.rescue then []
     else
-      List.map
-        (fun t ->
-          let group =
-            List.concat_map (fun (_, f) -> subfilters f) (e1s @ e2s)
-            |> List.filter (fun g -> tests_equal g.ftest t)
-          in
-          let filter =
-            match group with
-            | first :: rest ->
-                List.fold_left (fun acc g -> lgg_filter_mode mode acc g) first rest
-            | [] -> assert false
-          in
-          (Descendant, filter))
-        invariant_tests
+      List.sort_uniq Stdlib.compare (labels f0 [])
+      |> List.filter (fun t ->
+             (not (List.exists (fun grp -> tests_equal grp.gtest t) shared))
+             && List.for_all (fun (_, f) -> occurs t f) e1s
+             && List.for_all (fun (_, f) -> occurs t f) e2s)
+  in
+  let rescued =
+    match invariant_tests with
+    | [] -> []
+    | tests ->
+        (* Every occurrence of each test, in preorder over [e1s] then
+           [e2s], bucketed in one walk. *)
+        let tests = Array.of_list tests in
+        let buckets = Array.make (Array.length tests) [] in
+        let rec collect f =
+          (match Array.find_index (tests_equal f.ftest) tests with
+          | Some i -> buckets.(i) <- f :: buckets.(i)
+          | None -> ());
+          List.iter (fun (_, g) -> collect g) f.fsubs
+        in
+        List.iter (fun (_, f) -> collect f) e1s;
+        List.iter (fun (_, f) -> collect f) e2s;
+        Array.to_list buckets
+        |> List.map (fun bucket ->
+               match List.rev bucket with
+               | first :: rest ->
+                   ( Descendant,
+                     List.fold_left
+                       (fun acc g -> lgg_filter_mode mode acc g)
+                       first rest )
+               | [] -> assert false)
   in
   prune_maximal ~max_filters (merged @ rescued)
 

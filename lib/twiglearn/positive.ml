@@ -53,10 +53,9 @@ module Incremental = struct
   let m_spine_closed =
     Core.Telemetry.Metrics.counter "learnq.twiglearn.spine_closed"
 
-  (* Counter only, no span: [add] runs once per determined-probe that the
-     spine leaves open — the same too-hot-for-spans regime as
-     [Contain.filter_subsumed].  [Interactive.Session.record] wraps its
-     (once-per-answer) call in the [twig.lgg.inc] span. *)
+  (* [Interactive.Session.record] wraps its (once-per-answer) call in the
+     [twig.lgg.inc] span, and [extend_consistent] its full merges, about
+     nine a session since the spine precheck, in [twig.lgg.probe]. *)
   let add (acc : acc) item : acc =
     Core.Telemetry.Metrics.incr m_inc;
     let c = characteristic item in
@@ -110,7 +109,9 @@ module Incremental = struct
         None
     | Some raw when not !full_merge -> Some raw
     | _ -> (
-        match add acc item with
+        match
+          Core.Telemetry.with_span "twig.lgg.probe" (fun () -> add acc item)
+        with
         | Some raw when Twig.Query.is_anchored raw -> Some raw
         | _ -> None)
 end

@@ -442,6 +442,106 @@ let prop_lgg_upper_bound =
       let g = Lgg.lgg q1 q2 in
       Contain.subsumed q1 g && Contain.subsumed q2 g)
 
+(* Merge outputs pinned byte for byte: a new digest means some merge now
+   returns other edges or the same edges in another order, which changes
+   what learners ask.  [Query.pp] sorts filter edges, so it cannot see the
+   latter; this printer keeps the order. *)
+let raw_axis = function Query.Child -> "/" | Query.Descendant -> "//"
+let raw_test = function Query.Label l -> l | Query.Wildcard -> "*"
+
+let rec raw_edge b (a, (f : Query.filter)) =
+  Buffer.add_char b '[';
+  Buffer.add_string b (raw_axis a);
+  Buffer.add_string b (raw_test f.ftest);
+  List.iter (raw_edge b) f.fsubs;
+  Buffer.add_char b ']'
+
+let raw_query b (q : Query.t) =
+  List.iter
+    (fun (s : Query.step) ->
+      Buffer.add_string b (raw_axis s.axis);
+      Buffer.add_string b (raw_test s.test);
+      List.iter (raw_edge b) s.filters)
+    q;
+  Buffer.add_char b '\n'
+
+(* Every filter edge of a query, nested ones included, in preorder. *)
+let edges_of (q : Query.t) =
+  let rec go e = e :: List.concat_map go (snd e).Query.fsubs in
+  List.concat_map (fun (s : Query.step) -> List.concat_map go s.filters) q
+
+let take n l = List.filteri (fun i _ -> i < n) l
+
+(* Characteristic-query pairs: random pairs over seeded [Fuzz.Gen]
+   documents, and same-label runs over an XMark document, each run folded
+   the way the incremental learner folds its positives (the raw running
+   LGG merged with the next example). *)
+let merge_inputs () =
+  let g = Core.Prng.create 28 in
+  let docs =
+    List.init 10 (fun _ -> Fuzz.Gen.tree g ~size:(Core.Prng.int_in g 4 28))
+  in
+  let examples =
+    Array.of_list
+      (List.concat_map
+         (fun d -> List.map (Query.of_example d) (Fuzz.Gen.element_paths d))
+         docs)
+  in
+  let pick () = examples.(Core.Prng.int g (Array.length examples)) in
+  let random_pairs = List.init 150 (fun _ -> [ pick (); pick () ]) in
+  let xmark = Benchkit.Xmark.generate ~scale:0.3 ~seed:5 () in
+  let runs =
+    List.map
+      (fun goal ->
+        List.map (Query.of_example xmark)
+          (take 6 (Eval.select (Parse.query goal) xmark)))
+      [ "//person"; "//item"; "//closed_auction"; "//open_auction"; "//name";
+        "//bidder"; "//text"; "//description"; "//keyword"; "//category" ]
+  in
+  random_pairs @ runs
+
+let merge_transcript () =
+  let b = Buffer.create 65536 in
+  let verdict ok = Buffer.add_char b (if ok then '1' else '0') in
+  let inputs = merge_inputs () in
+  List.iter
+    (fun (label_guided, rescue) ->
+      Buffer.add_string b
+        (Printf.sprintf "mode label_guided=%b rescue=%b\n" label_guided rescue);
+      List.iter
+        (function
+          | [] -> ()
+          | first :: rest ->
+              ignore
+                (List.fold_left
+                   (fun acc q ->
+                     let r = Lgg.lgg ~label_guided ~rescue acc q in
+                     let m = Lgg.minimize r in
+                     raw_query b r;
+                     raw_query b m;
+                     List.iter verdict
+                       [ Contain.subsumed acc r; Contain.subsumed q r;
+                         Contain.subsumed r q; Contain.subsumed m r;
+                         Contain.subsumed r m; Contain.subsumed r acc ];
+                     let es = take 12 (edges_of r) @ take 12 (edges_of acc) in
+                     List.iter
+                       (fun e ->
+                         List.iter
+                           (fun e' -> verdict (Contain.filter_subsumed e e'))
+                           es)
+                       es;
+                     Buffer.add_char b '\n';
+                     r)
+                   first rest))
+        inputs)
+    [ (true, true); (true, false); (false, true) ];
+  Buffer.contents b
+
+let test_lgg_outputs_pinned () =
+  Alcotest.(check string)
+    "MD5 of the merge transcript" "e178f636cb425e8a8e0231930cdbe7c9"
+    (Digest.to_hex (Digest.string (merge_transcript ())))
+
 let () =
   Alcotest.run "twig"
     [
@@ -497,5 +597,6 @@ let () =
           Alcotest.test_case "minimize spine-implied" `Quick test_minimize_spine_implied_filter;
           qcheck prop_minimize_preserves_equivalence;
           qcheck prop_lgg_upper_bound;
+          Alcotest.test_case "outputs pinned" `Quick test_lgg_outputs_pinned;
         ] );
     ]

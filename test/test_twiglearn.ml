@@ -647,7 +647,9 @@ let test_decode_batch_snapshot () =
 (* perfbench's learn-twig session: its first positive is question 610 of
    612, and the spine precheck settles most probes after it without a
    full merge.  The precheck changes no question, so these counts are what
-   notices if it is switched off (without it, 591 full merges). *)
+   notices if it is switched off (without it, 591 full merges).  Every
+   [add] is a recorded positive (a [twig.lgg.inc] span) or a probe's full
+   merge (a [twig.lgg.probe] span). *)
 let test_spine_precheck_settles_probes () =
   let module T = Core.Telemetry in
   let doc = Benchkit.Xmark.generate ~scale:3. ~seed:7 () in
@@ -659,14 +661,19 @@ let test_spine_precheck_settles_probes () =
   let count name = T.Metrics.counter_value (T.Metrics.counter name) in
   let closed = count "learnq.twiglearn.spine_closed"
   and merges = count "learnq.twiglearn.lgg_inc_calls" in
-  let scans =
+  let spans name =
     List.find_map
-      (fun (name, n, _, _) -> if name = "interact.scan" then Some n else None)
+      (fun (n, k, _, _) -> if n = name then Some k else None)
       (T.span_aggregates ())
+    |> Option.value ~default:0
   in
+  let positives = spans "twig.lgg.inc" in
   Alcotest.(check int) "questions" 612 o.Twiglearn.Interactive.Loop.questions;
-  Alcotest.(check (option int)) "one interact.scan span per advance"
-    (Some 613) scans;
+  Alcotest.(check int) "one interact.scan span per advance" 613
+    (spans "interact.scan");
+  Alcotest.(check bool) "some positive recorded" true (positives > 0);
+  Alcotest.(check int) "one twig.lgg.probe span per probe merge"
+    (merges - positives) (spans "twig.lgg.probe");
   Alcotest.(check bool)
     (Printf.sprintf ">= 570 probes closed on the spine (got %d)" closed)
     true (closed >= 570);
