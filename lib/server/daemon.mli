@@ -34,11 +34,14 @@
               /debug/flightrecorder              when [debug_endpoints] v}
 
     Views are [{"engine","done","degraded","qid","question","question_text",
-    "questions","replayed","pruned","refused","query"}]; errors are
-    [{"error":msg,"trace":id}] with 400 (malformed), 404 (unknown session),
-    409 (conflicting spec / stale qid), 429 (quota or breaker, with
-    [Retry-After]), 503 (shedding or draining, with [Retry-After]), 507
-    (disk full).
+    "questions","replayed","pruned","refused","query"}]: [question] is the
+    open question's journal key (a twig node's child indices, ["/3"]) and
+    [question_text] its rendering (a twig node's label path,
+    ["/site/people"]), so a reply's size does not grow with the document.
+    Errors are [{"error":msg,"trace":id}] with 400 (malformed), 404
+    (unknown session), 409 (conflicting spec / stale qid), 429 (quota or
+    breaker, with [Retry-After]), 503 (shedding or draining, with
+    [Retry-After]), 507 (disk full).
 
     {2 Observability}
 

@@ -29,7 +29,10 @@ type view = {
   degraded : bool;  (** stopped on step-budget exhaustion *)
   qid : int;  (** id of the open question; count of questions ever asked *)
   question : string option;  (** codec string of the open question *)
-  question_text : string option;  (** human rendering of the open question *)
+  question_text : string option;
+      (** human rendering of the open question, the engine's [pp_item]:
+          for twig, the node's label path ([/site/people/person[3]/name],
+          see {!Xmltree.Annotated.pp}), never the document *)
   questions : int;  (** live answers folded in this process *)
   replayed : int;  (** answers replayed from the journal at startup *)
   pruned : int;  (** items never asked: label became determined *)

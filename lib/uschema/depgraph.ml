@@ -138,7 +138,6 @@ let edge_list table =
   |> List.sort compare
 
 let possible_edges g = edge_list g.possible
-let required_edges g = edge_list g.required
 
 let test_matches test label =
   match test with

@@ -26,8 +26,6 @@ val schema : t -> Schema.t
 val possible_edges : t -> (string * string) list
 (** Sorted pairs. *)
 
-val required_edges : t -> (string * string) list
-
 val satisfiable : t -> Twig.Query.t -> bool
 (** Whether some valid document has a node selected by the query. *)
 

@@ -25,7 +25,3 @@ val infer : Xmltree.Tree.t list -> Schema.t option
 val infer_disjunction_free : Xmltree.Tree.t list -> Schema.t option
 (** Single-clause variant: one clause per label covering all observations —
     the MS restriction, coarser but always disjunction-free. *)
-
-val infer_dme : Dme.Labels.t list -> Dme.t
-(** The per-label generalization on raw children multisets (exposed for
-    tests; the list must be non-empty). *)

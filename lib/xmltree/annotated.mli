@@ -25,3 +25,9 @@ val examples_of_answers :
     the learning of n-ary queries from "completely annotated examples". *)
 
 val pp : Format.formatter -> t -> unit
+(** The target's root-to-node label path as an XPath location path, e.g.
+    [/site/people/person[3]/name]: one step per node from the root down,
+    named by its label.  A step carries its 1-based position among its
+    same-named siblings, written only where that name repeats.  An
+    attribute step reads [@id]; a text step reads [text()].  The work is
+    O(depth × fan-out): the document itself is never printed. *)

@@ -257,6 +257,43 @@ let test_stepper_matches_interact_loop () =
        outcome.Twiglearn.Interactive.Loop.query)
     v.Stepper.query
 
+(* A twig question renders as its node's label path, never the document:
+   every view of a whole session stays short (the document is ~5 KB
+   printed), and three keys pin the format — the root, an attribute step
+   and a label that repeats among its siblings. *)
+let test_stepper_question_text_is_label_path () =
+  let spec = { twig_spec with Engines.seed = 1; scale = 0.03 } in
+  let st = make_stepper spec in
+  let truth = truth_of spec "//person/name" in
+  let texts = Hashtbl.create 128 in
+  let check_view (v : Stepper.view) =
+    Option.iter
+      (fun t ->
+        if String.length t > 128 then
+          Alcotest.failf "question %d renders as %d bytes" v.Stepper.qid
+            (String.length t))
+      v.Stepper.question_text;
+    Option.iter (fun key -> Hashtbl.replace texts key v.Stepper.question_text)
+      v.Stepper.question
+  in
+  let reply key =
+    check_view (st.Stepper.view ());
+    label truth key
+  in
+  let _, v = driven (Stepper.drive st reply) in
+  check_view v;
+  st.Stepper.close ();
+  Alcotest.(check bool) "session done" true v.Stepper.done_;
+  List.iter
+    (fun (key, path) ->
+      Alcotest.(check (option string)) key (Some path)
+        (Option.join (Hashtbl.find_opt texts key)))
+    [
+      ("/", "/site");
+      ("/0/0/0/0", "/site/regions/africa/item/@id");
+      ("/0/1/0/8", "/site/regions/asia/item/incategory[2]");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1298,6 +1335,8 @@ let () =
             test_stepper_future_qid_rejected;
           Alcotest.test_case "matches the batch loop" `Quick
             test_stepper_matches_interact_loop;
+          Alcotest.test_case "question text is a label path" `Quick
+            test_stepper_question_text_is_label_path;
         ] );
       ( "registry",
         [

@@ -210,6 +210,15 @@ let test_annotated_examples_of_answers () =
   let pos = List.filter Core.Example.is_positive exs in
   Alcotest.(check int) "one positive" 1 (List.length pos)
 
+let test_annotated_pp () =
+  let doc = Parse.xml {|<a id="1"><b>x</b><b>y<c/>z</b></a>|} in
+  let show p = Format.asprintf "%a" Annotated.pp (Annotated.make doc p) in
+  Alcotest.(check string) "root" "/a" (show []);
+  Alcotest.(check string) "attribute" "/a/@id" (show [ 0 ]);
+  Alcotest.(check string) "repeated label" "/a/b[2]/c" (show [ 2; 1 ]);
+  Alcotest.(check string) "lone text" "/a/b[1]/text()" (show [ 1; 0 ]);
+  Alcotest.(check string) "repeated text" "/a/b[2]/text()[2]" (show [ 2; 2 ])
+
 let () =
   Alcotest.run "xmltree"
     [
@@ -247,5 +256,6 @@ let () =
         [
           Alcotest.test_case "make" `Quick test_annotated_make;
           Alcotest.test_case "examples of answers" `Quick test_annotated_examples_of_answers;
+          Alcotest.test_case "pp label path" `Quick test_annotated_pp;
         ] );
     ]
